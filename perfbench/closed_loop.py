@@ -16,9 +16,6 @@ from . import checks, workloads
 from .common import clock, counts_digest, percentile
 from .tracer import Instrumentation, Recorder, coverage, layer_metrics
 
-#: Latency limit of one round, per workload (ms), for ``slo_met_share``.
-ROUND_LIMIT_MS = {"interactive_maxcut": 100.0, "noisy_trajectory": 2500.0}
-
 
 @dataclass
 class Outcome:
@@ -122,21 +119,14 @@ def check_pass(run: Pass) -> List[str]:
     return failures
 
 
-def end_to_end(workload: str, run: Pass) -> Dict[str, float]:
+def end_to_end(run: Pass) -> Dict[str, float]:
     latencies = run.round_latencies_ms()
     outcomes = run.outcomes
     failed = sum(1 for o in outcomes if o.error)
-    limit = ROUND_LIMIT_MS[workload]
-    met = sum(
-        1
-        for r, lat in zip(run.rounds, latencies)
-        if lat <= limit and not any(o.error for o in r)
-    )
     return {
         "latency_p50_ms": percentile(latencies, 50.0),
         "latency_p90_ms": percentile(latencies, 90.0),
         "jobs_per_s": (len(outcomes) - failed) / run.wall,
-        "slo_met_share": met / len(latencies),
     }
 
 
@@ -151,7 +141,6 @@ def details(workload: str, run: Pass) -> Dict[str, Any]:
         "rounds": len(run.rounds),
         "jobs": len(run.outcomes),
         "wall_s": run.wall,
-        "round_limit_ms": ROUND_LIMIT_MS[workload],
         "shots_per_s": shots / run.wall,
         "per_kind": {
             key: {

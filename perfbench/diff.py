@@ -1,13 +1,13 @@
 """Compare two benchmark records and name the layer that moved.
 
-    python3 perfbench/diff.py BASE.json NEW.json [--threshold 0.1]
+    python3 perfbench/diff.py BASE.json NEW.json
 
 Each file is a run record (``run.py --record``) or a repeat summary
 (``repeat.py``); summaries compare by median.  End-to-end metrics are
 checked against their bounds from ``BENCHMARK.json``; per-layer metrics are
 grouped by layer (the part of the name before the first dot) and every
-layer whose largest relative change exceeds ``--threshold`` is named, the
-largest mover first.
+layer whose largest relative change exceeds ``LAYER_MOVE_THRESHOLD`` is
+named, the largest mover first.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench.common import load_spec  # noqa: E402
+
+#: Relative change of a per-layer metric that counts as its layer moving.
+LAYER_MOVE_THRESHOLD = 0.1
 
 
 def metric_values(path: Path) -> Dict[str, float]:
@@ -44,8 +47,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--threshold", type=float, default=0.1,
-                        help="relative change that counts as a layer moving")
     args = parser.parse_args(argv)
 
     spec = load_spec()
@@ -66,7 +67,8 @@ def main(argv=None) -> int:
             if name in e2e and worse and abs(change) > e2e[name]["bound"]:
                 note = f"REGRESSION (bound {e2e[name]['bound']})"
                 regressions.append(name)
-        if name in layer and not name.startswith("trace.") and abs(change) > args.threshold:
+        moved = abs(change) > LAYER_MOVE_THRESHOLD
+        if name in layer and not name.startswith("trace.") and moved:
             group = name.split(".", 1)[0]
             if group not in movers or abs(change) > abs(movers[group][1]):
                 movers[group] = (name, change)
@@ -77,7 +79,7 @@ def main(argv=None) -> int:
         print("moved layers: " + ", ".join(
             f"{group} ({name} {change:+.1%})" for group, (name, change) in ranked))
     elif any(name in layer for name in shared):
-        print(f"moved layers: none beyond {args.threshold:.0%}")
+        print(f"moved layers: none beyond {LAYER_MOVE_THRESHOLD:.0%}")
     if regressions:
         print("end-to-end regressions: " + ", ".join(regressions))
     return 1 if regressions else 0

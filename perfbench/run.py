@@ -47,7 +47,7 @@ from perfbench.common import (  # noqa: E402
 )
 
 WORKLOADS = ("interactive_maxcut", "noisy_trajectory", "serving_mix")
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
 
 def measure_setup(workload: str, seed: int, probes: int) -> Dict[str, Any]:
@@ -96,7 +96,7 @@ def run_closed_loop(workload: str, seed: int, seconds: float, trace: bool):
     closed_loop.warm_up(workload, seed)
     run = closed_loop.run_pass(closed_loop.rounds(workload, seed, "timed"), seconds=seconds)
     failures += closed_loop.check_pass(run)
-    metrics = closed_loop.end_to_end(workload, run)
+    metrics = closed_loop.end_to_end(run)
     detail = closed_loop.details(workload, run)
     return metrics, detail, len(run.outcomes) + canaries, failures, None
 
@@ -131,6 +131,7 @@ def run_serving(seed: int, seconds: float, trace: bool):
         "ladder": [p.summary() for p in rungs],
         "sustainable_rate_jobs_per_s": serving_mix.sustainable_rate(rungs),
         "counts_digest": serving_mix.phase_digest(rounds),
+        "default_fleet_probe": serving_mix.default_fleet_probe(events, templates),
     }
     return metrics, detail, sum(len(p.jobs) for p in phases) + 1, failures, None
 
@@ -199,6 +200,7 @@ def main(argv=None) -> int:
         "host": host_block(),
         "setup": setup,
         "detail": detail,
+        "metrics": metrics,
         "failures": failures[:50],
         "spans_file": None if spans is None else str(write_spans(spans, args)),
         "result": result,

@@ -5,8 +5,9 @@ sends one block of arrivals in one ``submit_many`` call and waits for all of
 them.  An open-loop ladder of offered rates follows for the record: the
 sustainable rate and, per rate, the jobs sent, succeeded, failed and
 refused, how late the generator ran and whether the backlog grew.  Every
-part replays the same seeded arrivals (renamed per part), so each served job
-can be checked against one direct ``submit()`` of its bundle.
+part draws on one seeded arrival schedule (bundles renamed per part), so
+each served job can be checked against one direct ``submit()`` of its
+bundle.  Rounds take successive blocks of it; each rung starts it afresh.
 
 On the ladder the generator sends each arrival when it is due, whether or
 not earlier jobs have finished, so the queue can grow.  A job's latency
@@ -153,15 +154,22 @@ def make_service():
 
 #: Arrivals per closed-loop round: one block of the mix.
 BLOCK = len(workloads.SERVING_BLOCK)
-#: Distinct blocks the rounds cycle through.
-ROUND_BLOCKS = 8
+#: Shortest round the arrivals are generated for.  A round took about
+#: 0.16 s on the 2-core development host; rounds stop early if a host
+#: three times faster uses up the arrivals.
+MIN_ROUND_S = 0.05
 
 
 def make_events(seed: int, seconds: float):
-    """Enough seeded arrivals for the round blocks and the longest rung."""
-    _, rung = phase_durations(seconds)
+    """Enough seeded arrivals for the warm-up, every round and the longest rung.
+
+    Round *r* sends block *r* after the warm-up's arrivals, so no round
+    resends a bundle.  The ladder's rungs replay the schedule from its start.
+    """
+    rounds_s, rung = phase_durations(seconds)
     block_jobs = sum(len(e.jobs) for e in workloads.serving_events(seed, 1)[:BLOCK])
-    need = max(block_jobs * ROUND_BLOCKS, max(workloads.SERVING_LADDER) * rung)
+    rounds = WARMUP_EVENTS // BLOCK + math.ceil(rounds_s / MIN_ROUND_S)
+    need = max(block_jobs * rounds, max(workloads.SERVING_LADDER) * rung)
     return workloads.serving_events(seed, int(need) + workloads.BURST_SIZE + 1)
 
 
@@ -170,9 +178,25 @@ def phase_durations(seconds: float) -> Tuple[float, float]:
     return seconds / 2.0, seconds / 2.0 / len(workloads.SERVING_LADDER)
 
 
-def build_templates(events, count: Optional[int] = None) -> List[List[Any]]:
-    """The bundles of the first *count* events (all by default)."""
-    return [[job.build() for job in event.jobs] for event in events[:count]]
+class Templates:
+    """The bundles of each event, built through the public API on request.
+
+    :meth:`build` packages a stretch of events before it is sent, so no
+    bundle is built inside a timed window; indexing an event that was not
+    built is an error.
+    """
+
+    def __init__(self, events) -> None:
+        self.events = events
+        self._bundles: Dict[int, List[Any]] = {}
+
+    def build(self, start: int, stop: int) -> None:
+        for index in range(start, min(stop, len(self.events))):
+            if index not in self._bundles:
+                self._bundles[index] = [job.build() for job in self.events[index].jobs]
+
+    def __getitem__(self, index: int) -> List[Any]:
+        return self._bundles[index]
 
 
 def schedule(events, rate: float, duration: float, first: int = 0,
@@ -277,7 +301,8 @@ def run_phase(service, events, templates, rate: float, duration: float, label: s
 
 def warm_up(service, events, templates) -> None:
     """Every arrival kind once through the service, so caches are warm."""
-    run_phase(service, events[:WARMUP_EVENTS], templates[:WARMUP_EVENTS],
+    templates.build(0, WARMUP_EVENTS)
+    run_phase(service, events[:WARMUP_EVENTS], templates,
               rate=1000.0, duration=1.0, label="warm")
 
 
@@ -336,6 +361,34 @@ def served_checks(phases: List[Phase], events, templates) -> List[str]:
     return failures
 
 
+def default_fleet_probe(events, templates) -> Dict[str, Any]:
+    """One anneal bundle through ``JobService`` on the scheduler's default fleet.
+
+    The benchmark's own service is limited to ``workloads.SERVING_FLEET``.
+    This probe shows what a default service does with the same bundle: the
+    engine the scheduler chose and whether the served counts equal a direct
+    ``submit()``.  It is reported in the record, not counted as a check.
+    """
+    import repro.backends as backends
+    from repro.services import JobService
+
+    i, j = next(
+        (i, j) for i, event in enumerate(events)
+        for j, job in enumerate(event.jobs) if job.kind == "anneal"
+    )
+    bundle = dataclasses.replace(templates[i][j], name=f"fleet/{templates[i][j].name}")
+    with JobService() as service:
+        ticket = service.submit(bundle)
+        served = dict(ticket.result().counts.items())
+    direct = dict(backends.submit(bundle).counts.items())
+    return {
+        "bundle": bundle.name,
+        "requested_engine": bundle.context.exec.engine,
+        "chosen_engine": ticket.engine,
+        "counts_match_direct_submit": served == direct,
+    }
+
+
 def phase_digest(phase: Phase) -> str:
     ordered = sorted(phase.ok, key=lambda s: s.template)
     return counts_digest([dict(s.ticket.result().counts.items()) for s in ordered])
@@ -365,22 +418,27 @@ def measured(service, events, templates, rate: float, duration: float, label: st
 
 def run_rounds(service, events, templates, label: str, seconds: Optional[float] = None,
                limit: Optional[int] = None) -> Phase:
-    """Closed-loop rounds: send one block of arrivals at once, wait for all, repeat.
+    """Closed-loop rounds: build one block of arrivals, send it at once, wait for all.
 
-    Rounds cycle through the first ``ROUND_BLOCKS`` blocks of *events* until
-    *seconds* elapsed or *limit* rounds ran.  A round is one ``submit_many``
-    call, so the whole block reaches the dispatcher as one unit and is
-    grouped the same way every time; sent one by one, the groups depended on
-    when the dispatcher woke, and latency spread by a fifth between runs.
-    Every arrival is due when the round starts, so its latency includes its
-    wait behind the groups run before it.
+    Round *r* sends the block after the warm-up's arrivals and *r* blocks
+    on, until *seconds* elapsed, *limit* rounds ran or the arrivals ran out.
+    The client builds a round's bundles before sending them, so building
+    counts against *seconds* but not against any job's latency.  A round is
+    one ``submit_many`` call, so the whole block reaches the dispatcher as
+    one unit and is grouped the same way every time; sent one by one, the
+    groups depended on when the dispatcher woke, and latency spread by a
+    fifth between runs.  Every arrival is due when the round starts, so its
+    latency includes its wait behind the groups run before it.
     """
     rounds: List[Phase] = []
     start = clock()
     while (limit is None or len(rounds) < limit) and (
         seconds is None or clock() - start < seconds
     ):
-        first = (len(rounds) % ROUND_BLOCKS) * BLOCK
+        first = WARMUP_EVENTS + len(rounds) * BLOCK
+        if first + BLOCK > len(events):
+            break
+        templates.build(first, first + BLOCK)
         rounds.append(measured(service, events, templates, math.inf, 0.0,
                                f"{label}{len(rounds)}", first, BLOCK, at_once=True))
     return pooled(label, rounds)
@@ -401,11 +459,12 @@ def timed(seed: int, seconds: float):
     and the rungs run.
     """
     events = make_events(seed, seconds)
-    templates = build_templates(events)
+    templates = Templates(events)
     rounds_s, rung_s = phase_durations(seconds)
     with make_service() as service:
         warm_up(service, events, templates)
         rounds = run_rounds(service, events, templates, "round", seconds=rounds_s)
+        templates.build(0, len(schedule(events, max(workloads.SERVING_LADDER), rung_s)))
         rungs: List[Phase] = []
         for k, rate in enumerate(workloads.SERVING_LADDER):
             rungs.append(measured(service, events, templates, rate, rung_s, f"rung{k}"))
@@ -415,18 +474,17 @@ def timed(seed: int, seconds: float):
 
 
 def end_to_end(rounds: Phase) -> Dict[str, float]:
-    """Latency, throughput and objective of the closed-loop rounds.
+    """Latency and throughput of the closed-loop rounds.
 
-    Latency is per round, the user's wait for a whole batch.  Per arrival it
-    spread twice as much as the throughput between runs (0.21 against 0.11
-    of the median over ten seeds); the record keeps it.
+    Latency is per job, from its round's send to its completion: a run has
+    about 30 rounds but over a thousand jobs, so the p90 rests on a hundred
+    samples beyond it.  Throughput is jobs over the summed round walls.
     """
-    walls = round_walls_s(rounds)
+    latencies = rounds.latencies_ms()
     return {
-        "latency_p50_ms": percentile(walls, 50.0) * 1000.0,
-        "latency_p90_ms": percentile(walls, 90.0) * 1000.0,
-        "jobs_per_s": len(rounds.ok) / sum(walls),
-        "slo_met_share": rounds.slo_met_share(),
+        "latency_p50_ms": percentile(latencies, 50.0),
+        "latency_p90_ms": percentile(latencies, 90.0),
+        "jobs_per_s": len(rounds.ok) / sum(round_walls_s(rounds)),
     }
 
 
@@ -435,17 +493,18 @@ def traced(seed: int, seconds: float):
     from repro.simulators.gate.fusion import clear_compile_caches, compile_cache_info
 
     events = make_events(seed, seconds)
-    templates = build_templates(events)
+    templates = Templates(events)
     with make_service() as service:
         clear_compile_caches()
         warm_up(service, events, templates)
         plain = run_rounds(service, events, templates, "plain", seconds=seconds / 2)
+    # The traced pass builds its own bundles, inside the instrumentation.
+    templates = Templates(events)
     recorder = Recorder()
     clear_compile_caches()
     with make_service() as service:
         warm_up(service, events, templates)
         with Instrumentation(recorder):
-            templates = build_templates(events, ROUND_BLOCKS * BLOCK)
             before_caches = compile_cache_info()
             before = service.stats()
             spanned = run_rounds(service, events, templates, "traced", limit=len(plain.parts))

@@ -131,15 +131,24 @@ class Recorder:
         wrapper.__wrapped__ = fn
         return wrapper
 
+    def inside(self, name: str) -> bool:
+        """Whether a span named *name* is open on this thread."""
+        return any(span.name == name for span in self._stack())
+
     def counted(self, name: str, fn: Callable) -> Callable:
-        """*fn* wrapped in a call counter (no clock reads)."""
+        """*fn* wrapped in a call counter (no clock reads).
+
+        Calls made while a ``build`` span is open count under
+        ``<name>/build``, the others under *name*.
+        """
+        recorder = self
         counters = self.counters
         lock = self._lock
-        counters.setdefault(name, 0)
 
         def wrapper(*args, **kwargs):
+            key = f"{name}/build" if recorder.inside("build") else name
             with lock:
-                counters[name] += 1
+                counters[key] = counters.get(key, 0) + 1
             return fn(*args, **kwargs)
 
         wrapper.__wrapped__ = fn
@@ -257,22 +266,19 @@ class Instrumentation:
 # -- per-layer metrics -------------------------------------------------------------------
 
 
+def _under(span: Span, name: str, by_id: Dict[int, Span]) -> bool:
+    """Whether *span* has an ancestor named *name*."""
+    parent = by_id.get(span.parent) if span.parent is not None else None
+    while parent is not None:
+        if parent.name == name:
+            return True
+        parent = by_id.get(parent.parent) if parent.parent is not None else None
+    return False
+
+
 def _top_level(spans: List[Span], name: str, by_id: Dict[int, Span]) -> List[Span]:
     """Spans named *name* with no ancestor of the same name."""
-    out = []
-    for span in spans:
-        if span.name != name:
-            continue
-        parent = by_id.get(span.parent) if span.parent is not None else None
-        nested = False
-        while parent is not None:
-            if parent.name == name:
-                nested = True
-                break
-            parent = by_id.get(parent.parent) if parent.parent is not None else None
-        if not nested:
-            out.append(span)
-    return out
+    return [s for s in spans if s.name == name and not _under(s, name, by_id)]
 
 
 def self_times(spans: List[Span]) -> Dict[int, float]:
@@ -300,17 +306,37 @@ def layer_metrics(
     stats_before: Optional[Dict[str, int]] = None,
     stats_after: Optional[Dict[str, int]] = None,
 ) -> Dict[str, float]:
-    """The per-layer metrics of one traced pass over *jobs* jobs."""
+    """The per-layer metrics of one traced pass over *jobs* jobs.
+
+    Every job in the pass is built once and sent once.  Beside the listed
+    metrics, the result splits validation into the part done while building
+    (``validate.at_build_*``) and the part done after it (``validate.at_run_*``).
+    """
     spans = recorder.spans
     by_id = {span.span_id: span for span in spans}
     selfs = self_times(spans)
-    per_job = 1000.0 / max(jobs, 1)
+    jobs = max(jobs, 1)
+    per_job = 1000.0 / jobs
 
     def total(name: str) -> float:
         return sum(s.duration for s in _top_level(spans, name, by_id))
 
     def count(name: str) -> int:
         return sum(1 for s in spans if s.name == name)
+
+    validate = _top_level(spans, "validate", by_id)
+    at_build = [s for s in validate if _under(s, "build", by_id)]
+    at_run = [s for s in validate if not _under(s, "build", by_id)]
+    walks_build = sum(n for k, n in recorder.counters.items() if k.endswith("/build"))
+    walks_run = sum(n for k, n in recorder.counters.items() if not k.endswith("/build"))
+    split = {
+        "validate.at_build_calls_per_job": len(at_build) / jobs,
+        "validate.at_run_calls_per_job": len(at_run) / jobs,
+        "validate.at_build_walks_per_job": walks_build / jobs,
+        "validate.at_run_walks_per_job": walks_run / jobs,
+        "validate.at_build_ms_per_job": sum(s.duration for s in at_build) * per_job,
+        "validate.at_run_ms_per_job": sum(s.duration for s in at_run) * per_job,
+    }
 
     engine = _top_level(spans, "engine", by_id)
     engine_busy = sum(s.duration for s in engine)
@@ -326,14 +352,12 @@ def layer_metrics(
     groups = stat("groups")
     completed = stat("completed")
     return {
+        **split,
         "build.ms_per_job": total("build") * per_job,
-        "validate.calls_per_job": count("validate") / max(jobs, 1),
-        "validate.document_walks_per_job": sum(
-            n for site, n in recorder.counters.items() if site.startswith("validate_document@")
-        )
-        / max(jobs, 1),
-        "validate.ms_per_job": total("validate") * per_job,
-        "lower.calls_per_job": count("lower") / max(jobs, 1),
+        "validate.calls_per_job": len(validate) / jobs,
+        "validate.document_walks_per_job": (walks_build + walks_run) / jobs,
+        "validate.ms_per_job": sum(s.duration for s in validate) * per_job,
+        "lower.calls_per_job": count("lower") / jobs,
         "lower.ms_per_job": total("lower") * per_job,
         "transpile.ms_per_job": total("transpile") * per_job,
         "transpile.hit_ratio": _delta_ratio(caches_before["transpile"], caches_after["transpile"]),
@@ -352,7 +376,7 @@ def layer_metrics(
         "engine.shots_per_busy_s": sum(s.attrs.get("shots", 0) for s in engine) / engine_busy
         if engine_busy
         else 0.0,
-        "engine.chunks_per_job": sum(s.attrs.get("chunks", 0) for s in engine) / max(jobs, 1),
+        "engine.chunks_per_job": sum(s.attrs.get("chunks", 0) for s in engine) / jobs,
         "anneal.busy_ms_per_job": anneal_busy * per_job,
         "anneal.spin_updates_per_s": sum(s.attrs.get("spin_updates", 0) for s in anneal)
         / anneal_busy

@@ -18,7 +18,9 @@ import numpy as np
 
 #: Interactive: node counts of the instance pool and the formulations' budgets.
 POOL_SIZES = tuple(range(4, 11))
-FRESH_SHARE = 0.15  # share of rounds that draw a never-seen graph (cache misses)
+#: Share of rounds that draw a never-seen graph (transpile cache misses).  An
+#: assumed share: no trace of real use was available to set it.
+FRESH_SHARE = 0.15
 GATE_SHOTS = 1024
 ANNEAL_READS = 64
 ANNEAL_SWEEPS = 64
@@ -261,7 +263,11 @@ class Event:
 
 #: One block of arrivals, repeated: every stretch of the schedule carries
 #: the same mix in the same order whatever the seed, with the bursts spread
-#: out.  6 QAOA, 4 QFT, 3 anneal, 3 QEC and 4 bursts.
+#: out.  6 QAOA, 4 QFT, 3 anneal, 3 QEC and 4 bursts, so 24 of a block's 40
+#: jobs are burst members and 16 are singles.  Two QFT and two QEC singles
+#: per block repeat a circuit of the same block, so 28 of 40 jobs are
+#: merge-eligible.  The mix is an assumption, not a measured trace: bursts
+#: are there because without them almost no job merges at light load.
 SERVING_BLOCK = (
     "qaoa", "qft", "burst", "qec", "qaoa", "anneal", "qft", "qaoa", "burst", "qec",
     "qaoa", "anneal", "qft", "burst", "qaoa", "qec", "anneal", "qft", "qaoa", "burst",
@@ -273,15 +279,15 @@ def serving_events(seed: int, min_jobs: int) -> List[Event]:
 
     The seed draws the angles and shot seeds; kinds, graphs and sizes
     cycle in a fixed order, so the work offered per second is the same for
-    every seed.
+    every seed.  Every QAOA single and every burst draws fresh angles, so a
+    burst's jobs share one circuit and differ only in seed, and a QAOA
+    single shares its circuit with no other job.
     """
     rng = _rng(seed, "serving")
     # The tenants' graphs are the same for every seed, so the work per
     # block (and the service's capacity) does not depend on the seed.
     fixed = _rng(0, "serving-graphs")
     graphs = [regular_like(n, fixed) for n in (4, 6, 8)] + [cycle(n) for n in (4, 5, 6)]
-    # Each tenant sweeps a few fixed angle sets, so bursts are same-circuit.
-    angle_sets = [qaoa_angles(rng, 1) for _ in range(4)]
     turn = {kind: 0 for kind in SERVING_BLOCK}
     events: List[Event] = []
     jobs_made = 0
@@ -292,7 +298,7 @@ def serving_events(seed: int, min_jobs: int) -> List[Event]:
             name = f"e{len(events)}"
             job_seed = int(rng.integers(2**31))
             problem = graphs[k % len(graphs)]
-            gammas, betas = angle_sets[int(rng.integers(len(angle_sets)))]
+            gammas, betas = qaoa_angles(rng, 1)
             if kind == "qaoa":
                 jobs = [qaoa_job(name, problem, gammas, betas, shots=SERVING_SHOTS, seed=job_seed)]
             elif kind == "qft":
