@@ -32,22 +32,22 @@ to one thread at a time** — the simulator's ``trajectory_workers`` pool
 parallelises across *instances* (one per shot chunk, each with its own
 spawned RNG stream), never within one.
 
-Segmented (merged) execution
-----------------------------
+Segmented execution
+-------------------
 Every stochastic method (:meth:`BatchedStatevector.measure`,
 :meth:`BatchedStatevector.reset`,
 :meth:`BatchedStatevector.apply_noise_events`,
-:meth:`BatchedStatevector.sample_all`) accepts an optional *segments*
-argument: a sequence of ``(size, generator)`` pairs partitioning the batch
-axis into contiguous runs that each draw from their **own** generator, in
-segment order, with exactly the per-call vector sizes a standalone chunk of
-that width would draw.  This is the RNG-partition half of the serving
-layer's merged group execution: N coalesced jobs concatenate their
-standalone shot chunks on the batch axis (one shared tensor evolution), and
-because every per-segment generator sees the same call sequence it would
-see standalone, each job's seeded outcomes are bit-identical to running it
-alone.  ``segments=None`` (the default) keeps the classic whole-batch
-draws from the single *rng* argument.
+:meth:`BatchedStatevector.sample_all`) draws per *segment*: a sequence of
+``(size, generator)`` pairs partitioning the batch axis into contiguous runs
+that each draw from their **own** generator, in segment order, with exactly
+the per-call vector sizes a standalone chunk of that width would draw.  This
+is the RNG-partition half of the simulator's one execution path: a merged
+run concatenates N jobs' standalone shot chunks on the batch axis (one
+shared tensor evolution), and because every per-segment generator sees the
+same call sequence it would see standalone, each job's seeded outcomes are
+bit-identical to running it alone.  A standalone chunk is the one-segment
+case: ``segments=None`` (the default) means ``[(batch, rng)]``, and a single
+segment's draw is used as is, without a concatenation copy.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .kernels import (
     build_plan,
     operator_stack,
 )
+from .noise import join_segments
 from .statevector import MAX_SIMULATED_QUBITS, Statevector
 
 __all__ = ["BatchedStatevector", "DEFAULT_NOISE_GEMM_THRESHOLD"]
@@ -321,21 +322,20 @@ class BatchedStatevector:
         p1 = (np.abs(view[:, 1]) ** 2).sum(axis=(0, 1), dtype=np.float64)
         return np.clip(p1, 0.0, 1.0)
 
-    # -- segmented (merged-run) draw helpers -------------------------------------
-    def _segment_uniform(self, rng, segments) -> np.ndarray:
-        """One uniform vector over the batch: whole-batch or per-segment draws.
+    # -- segmented draw helpers --------------------------------------------------
+    def _segments(self, rng, segments):
+        """The draw partition of one call: *segments*, or the whole batch on *rng*."""
+        return segments or ((self.batch_size, rng),)
 
-        With *segments* ``None`` this is the classic ``rng.random(batch)``
-        call; otherwise each ``(size, generator)`` segment draws its own
-        ``generator.random(size)`` — the identical call a standalone chunk
-        of that width would make — and the draws concatenate in segment
-        order.
+    def _segment_uniform(self, segments) -> np.ndarray:
+        """One uniform vector over the batch, ``generator.random(size)`` per segment.
+
+        Each segment makes the identical call a standalone chunk of that
+        width would make; the draws join in segment order.
         """
-        if segments is None:
-            return rng.random(self.batch_size)
-        return np.concatenate([gen.random(size) for size, gen in segments])
+        return join_segments([gen.random(size) for size, gen in segments])
 
-    def _draw_noise_event(self, event, rng, segments):
+    def _draw_noise_event(self, event, segments):
         """One event's ``(struck, choice)`` draw with per-segment consumption.
 
         Preserves the standalone consumption pattern *per generator*: one
@@ -345,23 +345,18 @@ class BatchedStatevector:
         application masks on *struck*).  Returns ``(struck, None)`` when no
         trajectory was struck.
         """
-        if segments is None:
-            struck = rng.random(self.batch_size) < event.rate
-            if not struck.any():
-                return struck, None
-            return struck, rng.integers(0, len(event.operators), size=self.batch_size)
-        parts = []
-        for size, gen in segments:
-            sub = gen.random(size) < event.rate
-            if sub.any():
-                choice = gen.integers(0, len(event.operators), size=size)
-            else:
-                choice = np.zeros(size, dtype=np.int64)
-            parts.append((sub, choice))
-        struck = np.concatenate([sub for sub, _ in parts])
-        if not struck.any():
+        strikes = [gen.random(size) < event.rate for size, gen in segments]
+        hits = [sub.any() for sub in strikes]
+        struck = join_segments(strikes)
+        if not any(hits):
             return struck, None
-        return struck, np.concatenate([choice for _, choice in parts])
+        choices = [
+            gen.integers(0, len(event.operators), size=size)
+            if hit
+            else np.zeros(size, dtype=np.int64)
+            for (size, gen), hit in zip(segments, hits)
+        ]
+        return struck, join_segments(choices)
 
     def measure(
         self, qubit: int, rng: Optional[np.random.Generator], segments=None
@@ -370,14 +365,15 @@ class BatchedStatevector:
 
         Returns a ``(batch,)`` uint8 array of outcomes.  Collapse and
         renormalisation are fused into one broadcast multiply per shot by
-        ``keep / sqrt(P(outcome))``.  *segments* switches the outcome draw
-        to the per-segment generators of a merged run (see the module
-        docstring); collapse itself is per-column arithmetic either way.
+        ``keep / sqrt(P(outcome))``.  *segments* partitions the outcome draw
+        across per-segment generators (see the module docstring); collapse
+        itself is per-column arithmetic either way.
         """
         if not 0 <= qubit < self.num_qubits:
             raise SimulationError(f"qubit {qubit} out of range")
         p1 = self.probability_one(qubit)
-        outcomes = (self._segment_uniform(rng, segments) < p1).astype(np.uint8)
+        segments = self._segments(rng, segments)
+        outcomes = (self._segment_uniform(segments) < p1).astype(np.uint8)
         chosen = np.where(outcomes, p1, 1.0 - p1)
         if np.any(chosen <= 0.0):
             raise SimulationError("measurement produced a zero-norm state")
@@ -394,8 +390,7 @@ class BatchedStatevector:
         The conditional flip streams as two broadcast multiplies: after the
         measurement collapse, outcome-1 shots have an empty ``|0>`` branch,
         so ``v0 += o * v1; v1 *= 1 - o`` moves their amplitude down without
-        gathering columns.  *segments* forwards to :meth:`measure` for
-        merged runs.
+        gathering columns.  *segments* forwards to :meth:`measure`.
         """
         outcomes = self.measure(qubit, rng, segments=segments)
         if outcomes.any():
@@ -441,20 +436,21 @@ class BatchedStatevector:
         of sampled operators in this chunk (``batch x sum(rates)``) reaches
         it, the GEMM path runs; ``None`` (the default) always keeps the
         slice path.  Seeded counts never depend on the choice.  *segments*
-        switches every draw to the per-segment generators of a merged run
-        (one strike vector per event per segment, a choice vector only for
-        segments that were struck — the standalone consumption pattern);
-        application on the concatenated batch is per-column either way.
+        partitions every draw across per-segment generators (one strike
+        vector per event per segment, a choice vector only for segments that
+        were struck — the standalone consumption pattern); application on
+        the concatenated batch is per-column either way.
         """
+        segments = self._segments(rng, segments)
         if gemm_threshold is not None and events:
             expected = self.batch_size * sum(event.rate for event in events)
             if expected >= gemm_threshold:
-                self._apply_noise_events_gemm(events, rng, segments)
+                self._apply_noise_events_gemm(events, segments)
                 return
         draws = []
         union: Optional[np.ndarray] = None
         for event in events:
-            struck, choice = self._draw_noise_event(event, rng, segments)
+            struck, choice = self._draw_noise_event(event, segments)
             if choice is None:
                 continue
             draws.append((event, struck, choice))
@@ -477,18 +473,16 @@ class BatchedStatevector:
                 compact[:, pick] = picked
         flat[:, selected] = compact  # scatter back
 
-    def _apply_noise_events_gemm(
-        self, events, rng: Optional[np.random.Generator], segments=None
-    ) -> None:
+    def _apply_noise_events_gemm(self, events, segments) -> None:
         """High-rate strategy: one per-column operator GEMM per struck event.
 
         Consumes the RNG identically to the slice path (one uniform vector
-        per event; one integer vector only when the event struck at all —
-        per segment in merged runs), so a seeded run samples the same
-        errors on the same shots regardless of which path executed.
+        per event per segment; one integer vector only when the event struck
+        that segment at all), so a seeded run samples the same errors on the
+        same shots regardless of which path executed.
         """
         for event in events:
-            struck, choice = self._draw_noise_event(event, rng, segments)
+            struck, choice = self._draw_noise_event(event, segments)
             if choice is None:
                 continue
             stack = event.stack
@@ -511,15 +505,16 @@ class BatchedStatevector:
         Returns a ``(batch,)`` array of flat basis indices (qubit 0 is the
         most significant bit), sampled by per-shot cumulative-probability
         inversion.  The state is *not* collapsed.  *segments* draws each
-        merged segment's uniforms from its own generator; the inversion is
+        segment's uniforms from its own generator; the inversion is
         per-column arithmetic, so per-segment outcomes match a standalone
         chunk bit for bit.
         """
+        segments = self._segments(rng, segments)
         probs = np.abs(self._tensor.reshape(self.dim, self.batch_size)) ** 2
         shots = np.arange(self.batch_size)
         if self.dim <= 64:
             cumulative = np.cumsum(probs, axis=0, dtype=np.float64)
-            draws = self._segment_uniform(rng, segments) * cumulative[-1]
+            draws = self._segment_uniform(segments) * cumulative[-1]
             return np.minimum((cumulative < draws[None, :]).sum(axis=0), self.dim - 1)
         # Hierarchical inversion: a full cumulative sum over the strided
         # basis axis costs one cache miss per element.  Instead reduce to
@@ -529,7 +524,7 @@ class BatchedStatevector:
         width = self.dim // blocks
         block_sums = probs.reshape(blocks, width, self.batch_size).sum(axis=1, dtype=np.float64)
         block_cum = np.cumsum(block_sums, axis=0)
-        draws = self._segment_uniform(rng, segments) * block_cum[-1]
+        draws = self._segment_uniform(segments) * block_cum[-1]
         block = np.minimum((block_cum < draws[None, :]).sum(axis=0), blocks - 1)
         previous = np.where(block > 0, block_cum[np.maximum(block - 1, 0), shots], 0.0)
         residual = draws - previous

@@ -23,9 +23,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .circuit import Instruction
     from .statevector import Statevector
 
-__all__ = ["NoiseModel"]
+__all__ = ["NoiseModel", "join_segments"]
 
 _PAULIS = ("x", "y", "z")
+
+
+def join_segments(parts):
+    """Join per-segment draws along the batch axis.
+
+    A single segment's draw is returned as is, so a standalone chunk (one
+    segment) pays no concatenation copy.
+    """
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass
@@ -74,32 +83,23 @@ class NoiseModel:
             return 1 - outcome
         return outcome
 
-    # -- batched channels (one vector draw for a whole trajectory batch) --------
+    # -- batched channels (one vector draw per segment of a trajectory batch) ----
     # Gate noise for the batched engine lives in the compiled program: the
     # fusion compiler turns each gate's depolarizing channel into
     # NoiseEvents that BatchedStatevector.apply_noise_events samples, so
     # pushed-through (conjugated) errors and raw Paulis share one code path.
-    def apply_readout_error_batched(
-        self, outcomes: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Flip each entry of a ``(batch,)`` outcome vector independently."""
-        if self.readout_error <= 0.0:
-            return outcomes
-        flips = rng.random(outcomes.shape[0]) < self.readout_error
-        return (outcomes ^ flips).astype(outcomes.dtype)
-
     def apply_readout_error_segmented(self, outcomes: np.ndarray, segments) -> np.ndarray:
-        """Segment-aware readout flips for merged runs.
+        """Flip each entry of a ``(batch,)`` outcome vector independently.
 
         *segments* is a sequence of ``(size, generator)`` pairs partitioning
-        the batch axis; each segment draws its flip vector from its own
-        generator so a merged job consumes exactly the draws a standalone
-        chunk would.  Skips all draws when the rate is zero, matching
-        :meth:`apply_readout_error_batched`.
+        the batch axis (a standalone chunk is one segment); each segment
+        draws its flip vector from its own generator, so a merged job
+        consumes exactly the draws it would alone.  Skips all draws when the
+        rate is zero.
         """
         if self.readout_error <= 0.0:
             return outcomes
-        flips = np.concatenate(
+        flips = join_segments(
             [gen.random(size) < self.readout_error for size, gen in segments]
         )
         return (outcomes ^ flips).astype(outcomes.dtype)

@@ -10,18 +10,21 @@ process-level parallelism.  This module owns that seam:
   and jobs, so every worker keeps warm compile caches — the parent ships a
   circuit's :class:`~repro.simulators.gate.fusion.ParametricTemplate` once
   per structure and the workers only re-bind parameters afterwards;
-* **chunk-grouped dispatch**: the parent's ``max_batch_memory`` chunk
-  decomposition and per-chunk ``SeedSequence`` streams are computed exactly
-  as on the thread path, then the chunks are dealt round-robin into at most
-  ``workers`` groups.  Chunk ``i`` always consumes stream ``i`` and results
-  reassemble in chunk order, so seeded counts are **bit-identical** to the
-  thread executor (and to serial execution) at every worker count;
+* **one task family for every engine**: the parent's super-chunk plan —
+  the same plan the thread executor runs, with a solo run's plan holding
+  one super-chunk per standalone chunk — is dealt round-robin into at most
+  ``workers`` groups, and :func:`run_chunks` submits one task per group.
+  The only engine-specific part is how a worker gets its program and which
+  segment runner it calls.  Every ``(job, chunk_id)`` segment carries its
+  own ``SeedSequence`` stream and results reassemble per segment slot, so
+  seeded counts are **bit-identical** to the thread executor (and to serial
+  execution) at every worker count;
 * **worker-crash recovery**: a dead worker breaks the whole
   ``ProcessPoolExecutor`` (every unfinished future raises
-  ``BrokenProcessPool``), so the executors collect what completed, retire
-  the broken pool, build a fresh one, and re-dispatch **only the lost chunk
-  groups** — each group still carrying its original ``(chunk_id, size,
-  stream)`` triples, so the recovered run re-draws from the same
+  ``BrokenProcessPool``), so :func:`run_chunks` collects what completed,
+  retires the broken pool, builds a fresh one, and re-dispatches **only the
+  lost groups** — each still carrying its original ``(job, chunk_id, size,
+  stream)`` segments, so the recovered run re-draws from the same
   ``SeedSequence`` streams and seeded counts stay bit-identical to an
   uncrashed run.  Recovery is budgeted per run
   (:data:`MAX_POOL_REBUILDS`); exhaustion raises the transient
@@ -44,8 +47,8 @@ thread pools or lock state mid-operation.
 
 Deterministic fault injection (:mod:`~repro.simulators.gate.faults`) rides
 the task payloads: a :class:`~repro.simulators.gate.faults.FaultPlan` fires
-inside the worker immediately before a chunk executes, keyed on
-``(chunk_id, attempt)`` — re-dispatched groups carry ``attempt + 1`` so an
+inside the worker immediately before a super-chunk executes, keyed on
+``(chunk_id, attempt)`` with the super-chunk id as *chunk_id* — re-dispatched groups carry ``attempt + 1`` so an
 injected crash fires once and the recovery runs clean.  Without a plan the
 hot path pays one ``is None`` check per chunk.
 """
@@ -57,6 +60,7 @@ import multiprocessing as mp
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,17 +69,13 @@ from ...core.errors import ChunkReassemblyError, WorkerCrashError
 
 __all__ = [
     "MAX_POOL_REBUILDS",
-    "get_worker_pool",
     "shutdown_worker_pool",
     "worker_pool_info",
     "executor_health",
-    "run_trajectory_chunks",
-    "run_stabilizer_chunks",
-    "run_merged_trajectory_chunks",
-    "run_merged_stabilizer_chunks",
+    "run_chunks",
 ]
 
-#: Pool rebuilds allowed within one ``run_*_chunks`` call before giving up
+#: Pool rebuilds allowed within one :func:`run_chunks` call before giving up
 #: with :class:`WorkerCrashError`.  Two rebuilds tolerate an injected crash
 #: plus one genuine flake without letting a deterministically crashing
 #: workload spin forever.
@@ -193,19 +193,6 @@ def _replace_broken(handle: _PoolGeneration) -> None:
     handle.executor.shutdown(wait=True)
 
 
-def get_worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Return the current persistent pool, growing it if *workers* exceeds it.
-
-    Introspective/legacy accessor: no lease is taken, so the returned
-    executor may be retired by a later grow.  The chunk executors use the
-    leased :func:`_acquire_pool` / :func:`_release_pool` pair instead, which
-    guarantees the executor outlives the caller's in-flight futures.
-    """
-    handle = _acquire_pool(workers)
-    _release_pool(handle)
-    return handle.executor
-
-
 def shutdown_worker_pool() -> None:
     """Tear every generation down (test isolation / interpreter exit)."""
     global _CURRENT
@@ -234,8 +221,8 @@ def executor_health() -> Dict[str, int]:
     ``pool_rebuilds`` (broken pools replaced), ``groups_redispatched``
     (chunk groups re-executed after a crash), ``generations_retired``
     (grow-driven and crash-driven retirements).  Monotonic; serving-level
-    per-job accounting uses the per-run recovery dicts returned by the
-    ``run_*_chunks`` executors instead.
+    per-job accounting uses the per-run recovery dicts returned by
+    :func:`run_chunks` instead.
     """
     with _POOL_LOCK:
         return dict(_HEALTH)
@@ -245,40 +232,133 @@ atexit.register(shutdown_worker_pool)
 
 
 def _deal_chunks(
-    sizes: Sequence[int], streams: Sequence[Any], workers: int
-) -> List[List[Tuple[int, int, Any]]]:
-    """Round-robin ``(chunk_id, size, stream)`` triples into worker groups.
+    plan: Sequence[Sequence[tuple]], workers: int
+) -> List[List[Tuple[int, Sequence[tuple]]]]:
+    """Round-robin ``(chunk_id, segments)`` super-chunks into worker groups.
 
-    The grouping only decides *where* a chunk runs; chunk ``i`` carries
-    stream ``i`` regardless, so the decomposition-to-stream mapping — the
-    bit-identity contract — never depends on the worker count.
+    The grouping only decides *where* a super-chunk runs; every segment
+    keeps its own ``(job, chunk_id, size, stream)`` identity, so dealing,
+    crash recovery and reassembly stay bit-identical per job at every
+    worker count.
     """
-    groups: List[List[Tuple[int, int, Any]]] = [[] for _ in range(workers)]
-    for chunk_id, (size, stream) in enumerate(zip(sizes, streams)):
-        groups[chunk_id % workers].append((chunk_id, size, stream))
+    groups: List[List[Tuple[int, Sequence[tuple]]]] = [[] for _ in range(workers)]
+    for chunk_id, segs in enumerate(plan):
+        groups[chunk_id % workers].append((chunk_id, segs))
     return [group for group in groups if group]
 
 
-def _require_complete(rows: Sequence[Optional[np.ndarray]]) -> None:
-    """Typed guard: every chunk slot must have been filled by some group."""
-    missing = [chunk_id for chunk_id, bits in enumerate(rows) if bits is None]
-    if missing:
-        raise ChunkReassemblyError(missing, len(rows))
+def _require_complete(slots: Sequence[Optional[Any]]) -> None:
+    """Typed guard: every super-chunk slot must have been filled by some group.
 
-
-def _run_groups_with_recovery(pending, submit_group, workers: int):
-    """Shared crash-recovery driver for both chunk executors.
-
-    *pending* is a list of ``(group, attempt)`` pairs; *submit_group* maps
-    a leased executor plus one pair to a future.  Runs every group to
-    completion, rebuilding the pool and re-dispatching only the lost groups
-    (``attempt + 1``) on breakage, up to :data:`MAX_POOL_REBUILDS` rebuilds
-    per run.  Returns ``(results, recovery)``: the completed groups' return
-    values (order unspecified — callers reassemble by chunk id) and the
-    per-run recovery counters.
+    Each slot holds its super-chunk's ``(job, chunk_id, bits)`` rows, and
+    every ``(job, chunk_id)`` segment lives in exactly one super-chunk, so a
+    full set of slots is a full set of job chunks.
     """
+    missing = [chunk_id for chunk_id, rows in enumerate(slots) if rows is None]
+    if missing:
+        raise ChunkReassemblyError(missing, len(slots))
+
+
+def _trajectory_runner(circuit, template, noise_model, dtype, gemm_threshold):
+    """Batched amplitude engine: bind (or adopt) the program in this worker.
+
+    The parent ships the circuit's parametric template once per structure;
+    the worker binds parameters into its own warm compile cache.
+    """
+    from .fusion import adopt_parametric_template, compile_trajectory_program_cached
+    from .statevector import execute_program_segments
+
+    if template is not None:
+        adopt_parametric_template(circuit, template)
+    program = compile_trajectory_program_cached(
+        circuit, noise_model, dtype=np.dtype(dtype)
+    )
+    return partial(
+        execute_program_segments,
+        program,
+        noise_model=noise_model,
+        dtype=dtype,
+        gemm_threshold=gemm_threshold,
+    )
+
+
+def _stabilizer_runner(program, noise_model):
+    """Stabilizer engine: the parameter-free program ships pre-compiled."""
+    from .stabilizer import execute_stabilizer_program_segments
+
+    return partial(execute_stabilizer_program_segments, program, noise_model=noise_model)
+
+
+#: Per-engine worker setup: how a worker gets its program, and which segment
+#: runner it calls.  Everything else about a chunk task is engine-agnostic.
+_SEGMENT_RUNNERS = {"batched": _trajectory_runner, "stabilizer": _stabilizer_runner}
+
+
+def _chunk_task(payload: tuple):
+    """Worker-side entry: run one group of super-chunks.
+
+    Returns ``(chunk_id, rows, state)`` per super-chunk, where *rows* are
+    its ``(job, chunk_id, bits)`` segment rows and *state* is the last
+    trajectory state of the super-chunk named *state_chunk* (``None``
+    everywhere else, and whenever no statevector was requested).
+    """
+    engine, program_args, blas_threads, group, state_chunk, fault_plan, attempt = payload
+    from .statevector import run_super_chunk
+    from .threads import limit_blas_threads
+
+    run_segments = _SEGMENT_RUNNERS[engine](*program_args)
+    guard = (
+        limit_blas_threads(blas_threads) if blas_threads is not None else nullcontext()
+    )
+    done = []
+    with guard:
+        for chunk_id, segs in group:
+            rows, state = run_super_chunk(
+                run_segments,
+                chunk_id,
+                segs,
+                final_state=chunk_id == state_chunk,
+                fault_plan=fault_plan,
+                attempt=attempt,
+                executor="process",
+            )
+            done.append((chunk_id, rows, state))
+    return done
+
+
+def run_chunks(
+    engine: str,
+    program_args: tuple,
+    plan: Sequence[Sequence[tuple]],
+    *,
+    workers: int,
+    blas_threads: Optional[int] = None,
+    state_chunk: Optional[int] = None,
+    fault_plan=None,
+) -> Tuple[List[Tuple[int, int, np.ndarray]], Any, Dict[str, int]]:
+    """Execute a super-chunk plan on the process pool.
+
+    *engine* (``"batched"`` or ``"stabilizer"``) and *program_args* tell a
+    worker how to get its program and which segment runner to call.  *plan*
+    is a list of super-chunks, each a list of ``(job, chunk_id, size,
+    stream)`` segments; a solo run's plan has one super-chunk per standalone
+    chunk.  Super-chunks are dealt round-robin into at most *workers* groups.
+    On a broken pool, completed groups are kept, the pool is rebuilt, and
+    only the lost groups re-dispatch (``attempt + 1``) with their original
+    streams, up to :data:`MAX_POOL_REBUILDS` rebuilds per run — so recovered
+    per-job counts are bit-identical to an uncrashed run.
+
+    Returns ``(rows, state, recovery)``: the flattened ``(job, chunk_id,
+    bits)`` rows (completeness-checked per super-chunk slot), the last
+    trajectory state of super-chunk *state_chunk* (``None`` unless
+    requested), and the run's recovery counters (``pool_rebuilds`` /
+    ``groups_redispatched``, both 0 on a clean run).
+    """
+    workers = max(1, min(int(workers), len(plan)))
     recovery = {"pool_rebuilds": 0, "groups_redispatched": 0}
-    results = []
+    slots: List[Optional[List[tuple]]] = [None] * len(plan)
+    final_state = None
+    pending = [(group, 0) for group in _deal_chunks(plan, workers)]
     while pending:
         handle = _acquire_pool(workers)
         broken = False
@@ -286,8 +366,17 @@ def _run_groups_with_recovery(pending, submit_group, workers: int):
         try:
             submitted: List[Tuple[Any, Any, int]] = []
             for group, attempt in pending:
+                payload = (
+                    engine,
+                    program_args,
+                    blas_threads,
+                    group,
+                    state_chunk,
+                    fault_plan,
+                    attempt,
+                )
                 try:
-                    future = submit_group(handle.executor, group, attempt)
+                    future = handle.executor.submit(_chunk_task, payload)
                 except BrokenExecutor:
                     broken = True
                     lost.append((group, attempt + 1))
@@ -295,10 +384,15 @@ def _run_groups_with_recovery(pending, submit_group, workers: int):
                 submitted.append((future, group, attempt))
             for future, group, attempt in submitted:
                 try:
-                    results.append(future.result())
+                    done = future.result()
                 except BrokenExecutor:
                     broken = True
                     lost.append((group, attempt + 1))
+                    continue
+                for chunk_id, rows, state in done:
+                    slots[chunk_id] = rows
+                    if state is not None:
+                        final_state = state
         finally:
             if broken:
                 _replace_broken(handle)
@@ -316,355 +410,5 @@ def _run_groups_with_recovery(pending, submit_group, workers: int):
                     rebuilds=recovery["pool_rebuilds"],
                 )
         pending = lost
-    return results, recovery
-
-
-def _trajectory_task(payload: tuple):
-    """Worker-side entry: bind (or adopt) the program, run a chunk group.
-
-    Returns ``(rows, state_data, state_index)`` where *rows* is a list of
-    ``(chunk_id, bits)`` and the state fields are populated only by the
-    group holding the globally last chunk (the result-statevector contract).
-    """
-    (
-        circuit,
-        template,
-        noise_model,
-        dtype_str,
-        gemm_threshold,
-        blas_threads,
-        chunks,
-        state_chunk,
-        fault_plan,
-        attempt,
-    ) = payload
-    from .fusion import adopt_parametric_template, compile_trajectory_program_cached
-    from .statevector import execute_program_chunk
-    from .threads import limit_blas_threads
-
-    if template is not None:
-        adopt_parametric_template(circuit, template)
-    dtype = np.dtype(dtype_str)
-    # Mirror the parent compile exactly: a noiseless model compiles as None
-    # but still reaches execution (its zero-rate readout path consumes the
-    # same RNG draws as on the thread executor).
-    compile_noise = noise_model
-    if compile_noise is not None and compile_noise.is_noiseless:
-        compile_noise = None
-    program = compile_trajectory_program_cached(circuit, compile_noise, dtype=dtype)
-    guard = (
-        limit_blas_threads(blas_threads) if blas_threads is not None else nullcontext()
-    )
-    rows: List[Tuple[int, np.ndarray]] = []
-    state_data: Optional[np.ndarray] = None
-    state_index: Optional[int] = None
-    with guard:
-        for chunk_id, size, stream in chunks:
-            if fault_plan is not None:
-                fault_plan.fire(chunk_id, attempt, executor="process")
-            bits, state, last_index = execute_program_chunk(
-                program,
-                size,
-                np.random.default_rng(stream),
-                noise_model=noise_model,
-                dtype=dtype,
-                gemm_threshold=gemm_threshold,
-            )
-            if chunk_id == state_chunk:
-                state_data = state.extract(-1).data
-                state_index = last_index
-            rows.append((chunk_id, bits))
-    return rows, state_data, state_index
-
-
-def run_trajectory_chunks(
-    circuit,
-    template,
-    noise_model,
-    sizes: Sequence[int],
-    streams: Sequence[Any],
-    *,
-    workers: int,
-    dtype,
-    gemm_threshold,
-    blas_threads: Optional[int] = None,
-    fault_plan=None,
-) -> Tuple[List[np.ndarray], np.ndarray, Optional[int], Dict[str, int]]:
-    """Execute a batched-engine chunk decomposition on the process pool.
-
-    Returns ``(bits_rows, final_state_data, last_index, recovery)``: the
-    per-chunk bit rows in chunk order, the last chunk's final
-    single-trajectory state amplitudes and its sampled terminal index (for
-    the parent's terminal collapse), plus the run's crash-recovery counters
-    (``pool_rebuilds`` / ``groups_redispatched``, both 0 on a clean run).
-    """
-    workers = max(1, min(int(workers), len(sizes)))
-    state_chunk = len(sizes) - 1
-    dtype_str = str(np.dtype(dtype))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _trajectory_task,
-            (
-                circuit,
-                template,
-                noise_model,
-                dtype_str,
-                gemm_threshold,
-                blas_threads,
-                group,
-                state_chunk,
-                fault_plan,
-                attempt,
-            ),
-        )
-
-    pending = [(group, 0) for group in _deal_chunks(sizes, streams, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    bits_rows: List[Optional[np.ndarray]] = [None] * len(sizes)
-    state_data: Optional[np.ndarray] = None
-    last_index: Optional[int] = None
-    for rows, data, index in results:
-        for chunk_id, bits in rows:
-            bits_rows[chunk_id] = bits
-        if data is not None:
-            state_data = data
-            last_index = index
-    _require_complete(bits_rows)
-    return bits_rows, state_data, last_index, recovery
-
-
-def _deal_merged_chunks(
-    merged_chunks: Sequence[Sequence[tuple]], workers: int
-) -> List[List[Tuple[int, Sequence[tuple]]]]:
-    """Round-robin ``(merged_id, segments)`` pairs into worker groups.
-
-    Mirrors :func:`_deal_chunks` for merged super-chunks: the grouping only
-    decides *where* a super-chunk runs; every segment keeps its own
-    ``(job, chunk_id, size, stream)`` identity, so dealing, crash recovery
-    and reassembly stay bit-identical per job at every worker count.
-    """
-    groups: List[List[Tuple[int, Sequence[tuple]]]] = [[] for _ in range(workers)]
-    for merged_id, segs in enumerate(merged_chunks):
-        groups[merged_id % workers].append((merged_id, segs))
-    return [group for group in groups if group]
-
-
-def _require_merged_complete(
-    rows: Sequence[tuple], merged_chunks: Sequence[Sequence[tuple]]
-) -> None:
-    """Typed guard: every ``(job, chunk_id)`` segment slot must be filled."""
-    expected = {
-        (job, chunk_id)
-        for segs in merged_chunks
-        for job, chunk_id, _, _ in segs
-    }
-    got = {(job, chunk_id) for job, chunk_id, _ in rows}
-    missing = sorted(expected - got)
-    if missing:
-        raise ChunkReassemblyError(missing, len(expected))
-
-
-def _merged_trajectory_task(payload: tuple) -> List[Tuple[int, int, np.ndarray]]:
-    """Worker-side entry: run a group of merged super-chunks.
-
-    Each super-chunk concatenates several jobs' standalone chunks on the
-    batch axis; the worker rebuilds each segment's generator from its
-    original ``SeedSequence`` stream, runs the shared evolution once, and
-    slices the bit rows back per segment.  Returns ``(job, chunk_id, bits)``
-    rows — merged runs carry no statevector.
-    """
-    (
-        circuit,
-        template,
-        noise_model,
-        dtype_str,
-        gemm_threshold,
-        blas_threads,
-        chunks,
-        fault_plan,
-        attempt,
-    ) = payload
-    from .fusion import adopt_parametric_template, compile_trajectory_program_cached
-    from .statevector import execute_program_segments
-    from .threads import limit_blas_threads
-
-    if template is not None:
-        adopt_parametric_template(circuit, template)
-    dtype = np.dtype(dtype_str)
-    compile_noise = noise_model
-    if compile_noise is not None and compile_noise.is_noiseless:
-        compile_noise = None
-    program = compile_trajectory_program_cached(circuit, compile_noise, dtype=dtype)
-    guard = (
-        limit_blas_threads(blas_threads) if blas_threads is not None else nullcontext()
-    )
-    rows: List[Tuple[int, int, np.ndarray]] = []
-    with guard:
-        for merged_id, segs in chunks:
-            if fault_plan is not None:
-                fault_plan.fire(merged_id, attempt, executor="process")
-            segments = [
-                (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-            ]
-            bits = execute_program_segments(
-                program,
-                segments,
-                noise_model=noise_model,
-                dtype=dtype,
-                gemm_threshold=gemm_threshold,
-            )
-            offset = 0
-            for job, chunk_id, size, _ in segs:
-                rows.append((job, chunk_id, bits[offset : offset + size]))
-                offset += size
-    return rows
-
-
-def run_merged_trajectory_chunks(
-    circuit,
-    template,
-    noise_model,
-    merged_chunks: Sequence[Sequence[tuple]],
-    *,
-    workers: int,
-    dtype,
-    gemm_threshold,
-    blas_threads: Optional[int] = None,
-    fault_plan=None,
-) -> Tuple[List[Tuple[int, int, np.ndarray]], Dict[str, int]]:
-    """Execute a merged super-chunk plan on the process pool.
-
-    *merged_chunks* is a list of super-chunks, each a list of
-    ``(job, chunk_id, size, stream)`` segments.  Crash recovery re-dispatches
-    only the lost super-chunks with their original streams (``attempt + 1``),
-    so recovered per-job counts are bit-identical to an uncrashed run.
-    Returns ``(rows, recovery)``: the flattened ``(job, chunk_id, bits)``
-    rows (completeness-checked per segment slot) and the run's recovery
-    counters.
-    """
-    workers = max(1, min(int(workers), len(merged_chunks)))
-    dtype_str = str(np.dtype(dtype))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _merged_trajectory_task,
-            (
-                circuit,
-                template,
-                noise_model,
-                dtype_str,
-                gemm_threshold,
-                blas_threads,
-                group,
-                fault_plan,
-                attempt,
-            ),
-        )
-
-    pending = [(group, 0) for group in _deal_merged_chunks(merged_chunks, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    rows = [row for group_rows in results for row in group_rows]
-    _require_merged_complete(rows, merged_chunks)
-    return rows, recovery
-
-
-def _merged_stabilizer_task(payload: tuple) -> List[Tuple[int, int, np.ndarray]]:
-    """Worker-side entry for merged tableau super-chunks (pre-compiled program)."""
-    program, noise_model, chunks, fault_plan, attempt = payload
-    from .stabilizer import execute_stabilizer_program_segments
-
-    rows: List[Tuple[int, int, np.ndarray]] = []
-    for merged_id, segs in chunks:
-        if fault_plan is not None:
-            fault_plan.fire(merged_id, attempt, executor="process")
-        segments = [
-            (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-        ]
-        bits = execute_stabilizer_program_segments(program, segments, noise_model)
-        offset = 0
-        for job, chunk_id, size, _ in segs:
-            rows.append((job, chunk_id, bits[offset : offset + size]))
-            offset += size
-    return rows
-
-
-def run_merged_stabilizer_chunks(
-    program,
-    noise_model,
-    merged_chunks: Sequence[Sequence[tuple]],
-    *,
-    workers: int,
-    fault_plan=None,
-) -> Tuple[List[Tuple[int, int, np.ndarray]], Dict[str, int]]:
-    """Execute a merged stabilizer super-chunk plan on the process pool.
-
-    The stabilizer analogue of :func:`run_merged_trajectory_chunks`; the
-    compiled program ships directly (parameter-free, cheap to pickle).
-    """
-    workers = max(1, min(int(workers), len(merged_chunks)))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _merged_stabilizer_task, (program, noise_model, group, fault_plan, attempt)
-        )
-
-    pending = [(group, 0) for group in _deal_merged_chunks(merged_chunks, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    rows = [row for group_rows in results for row in group_rows]
-    _require_merged_complete(rows, merged_chunks)
-    return rows, recovery
-
-
-def _stabilizer_task(payload: tuple) -> List[Tuple[int, np.ndarray]]:
-    """Worker-side entry for tableau chunks (program ships pre-compiled)."""
-    program, noise_model, chunks, fault_plan, attempt = payload
-    from .stabilizer import execute_stabilizer_program
-
-    rows: List[Tuple[int, np.ndarray]] = []
-    for chunk_id, size, stream in chunks:
-        if fault_plan is not None:
-            fault_plan.fire(chunk_id, attempt, executor="process")
-        rows.append(
-            (
-                chunk_id,
-                execute_stabilizer_program(
-                    program, size, np.random.default_rng(stream), noise_model
-                ),
-            )
-        )
-    return rows
-
-
-def run_stabilizer_chunks(
-    program,
-    noise_model,
-    sizes: Sequence[int],
-    streams: Sequence[Any],
-    *,
-    workers: int,
-    fault_plan=None,
-) -> Tuple[List[np.ndarray], Dict[str, int]]:
-    """Execute a stabilizer-engine chunk decomposition on the process pool.
-
-    Returns the per-chunk outcome-bit matrices in chunk order plus the
-    run's crash-recovery counters.  The compiled
-    :class:`~repro.simulators.gate.fusion.StabilizerProgram` is parameter-free
-    and cheap to pickle, so it ships directly instead of recompiling in the
-    worker.
-    """
-    workers = max(1, min(int(workers), len(sizes)))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _stabilizer_task, (program, noise_model, group, fault_plan, attempt)
-        )
-
-    pending = [(group, 0) for group in _deal_chunks(sizes, streams, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    rows: List[Optional[np.ndarray]] = [None] * len(sizes)
-    for group_rows in results:
-        for chunk_id, bits in group_rows:
-            rows[chunk_id] = bits
-    _require_complete(rows)
-    return rows, recovery
+    _require_complete(slots)
+    return [row for rows in slots for row in rows], final_state, recovery

@@ -28,7 +28,12 @@ The simulator picks one of three paths per run:
   ``trajectory_workers`` knob dispatches chunks across a thread pool — or,
   with ``trajectory_executor="process"``, across the persistent worker-process
   pool of :mod:`~repro.simulators.gate.procpool` (seeded counts are
-  bit-identical for every worker count and both executors).
+  bit-identical for every worker count and both executors).  There is one
+  execution path: :meth:`StatevectorSimulator.run` is the one-job plan of
+  the plan -> pack -> execute -> reassemble pipeline behind
+  :meth:`StatevectorSimulator.run_merged`, and each chunked engine has one
+  segmented chunk runner (:func:`execute_program_segments`), so merged and
+  solo counts agree by construction.
 * **reference trajectories** — a per-shot Python loop over the *same*
   compiled program, with scalar RNG draws; kept as the executable
   specification of per-trajectory semantics that the batched engine's
@@ -73,7 +78,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,7 +96,6 @@ __all__ = [
     "Statevector",
     "SimulationResult",
     "StatevectorSimulator",
-    "execute_program_chunk",
     "execute_program_segments",
     "DEFAULT_MAX_BATCH_MEMORY",
 ]
@@ -478,14 +483,17 @@ class StatevectorSimulator:
         Deterministic fault-injection schedule
         (:class:`~repro.simulators.gate.faults.FaultPlan`, a JSON-safe dict
         spec, or ``None``; default ``None``).  Faults fire immediately
-        before a chunk task executes, keyed on ``(chunk_id, attempt)``:
+        before a chunk task executes, keyed on ``(chunk_id, attempt)``.
+        Chunk ids are the *super-chunk* ids of the run's plan; a solo run's
+        plan has one super-chunk per standalone chunk, so there they equal
+        the standalone chunk ids.  Kinds:
         ``"raise"`` raises the transient
         :class:`~repro.core.errors.TransientExecutionError`, ``"hang"``
         stalls the task for a bounded interval, ``"kill"`` hard-exits the
         worker process under ``trajectory_executor="process"`` (a
         documented no-op on the thread executor).  Killed workers are
-        recovered in-run: the pool is rebuilt and only the lost chunk
-        groups re-dispatch with their original ``SeedSequence`` streams,
+        recovered in-run: the pool is rebuilt and only the lost
+        super-chunk groups re-dispatch with their original streams,
         so recovered seeded counts are **bit-identical** to an uncrashed
         run.  ``None`` (production) costs one attribute check per run.
     verify_compiled:
@@ -611,6 +619,12 @@ class StatevectorSimulator:
     ) -> SimulationResult:
         """Execute *circuit* and return counts over its classical bits.
 
+        A solo run is the one-job plan of the pipeline behind
+        :meth:`run_merged` (plan, pack, execute, reassemble): its standalone
+        chunks pack one super-chunk per chunk and run through the engine's
+        one segmented chunk runner, so its results carry no ``merged``
+        metadata.
+
         Measurement contract
         --------------------
         Circuits **with** measure instructions yield counts keyed over their
@@ -641,63 +655,18 @@ class StatevectorSimulator:
         * stabilizer engine: tableaus have no amplitude representation, so
           the result's ``statevector`` is always ``None`` and the kind is
           ``"none"`` (the engine runs far beyond the amplitude width cap).
+
+        The batched engine keeps, collapses and (from a process worker)
+        ships back the last trajectory's state only when
+        ``return_statevector=True``; otherwise the kind still names what the
+        state would be, but no state is built.
         """
         if shots < 0:
             raise SimulationError("shots must be non-negative")
-        engine = self.trajectory_engine
-        if engine == "auto":
-            from .fusion import is_clifford_circuit  # local: import cycle
+        return self._run_plan(
+            circuit, [(shots, seed)], merged=False, return_statevector=return_statevector
+        )[0]
 
-            engine = "stabilizer" if is_clifford_circuit(circuit) else "batched"
-        if engine == "stabilizer":
-            # The tableau engine owns the whole run: it has no exact-path
-            # analogue (no amplitudes) and no width cap to fall back under.
-            return self._run_stabilizer(circuit, shots, seed)
-        if self.trajectory_engine == "density":
-            # The exact oracle handles every construct (noise, mid-circuit
-            # measurement, reset) in closed form, so it owns the whole run.
-            from .density import DensityMatrixSimulator  # local: import cycle
-
-            return DensityMatrixSimulator(
-                noise_model=self.noise_model,
-                sampling=self.density_sampling,
-                verify_compiled=self.verify_compiled,
-            ).run(circuit, shots=shots, seed=seed)
-        rng = np.random.default_rng(seed)
-
-        needs_trajectories = (
-            (self.noise_model is not None and not self.noise_model.is_noiseless)
-            or not circuit.measurements_are_terminal()
-            or any(inst.name == "reset" for inst in circuit.instructions)
-        )
-        if needs_trajectories:
-            counts, final_state, extra = self._run_trajectories(circuit, shots, rng, seed)
-            method = "trajectories"
-            # Implicit sampling never collapses, so the returned state is the
-            # last trajectory's pre-measurement state, as on the exact path.
-            statevector_kind = (
-                "pre_measurement" if extra.get("implicit_measurement") else "final_trajectory"
-            )
-        else:
-            counts, final_state, extra = self._run_exact(circuit, shots, rng)
-            method = "exact"
-            statevector_kind = "pre_measurement"
-        metadata: Dict[str, object] = {"method": method, "statevector_kind": statevector_kind}
-        metadata.update(extra)
-        result = SimulationResult(
-            counts=counts,
-            statevector=final_state if return_statevector else None,
-            shots=shots,
-            seed=seed,
-            metadata=metadata,
-        )
-        if self.verify_compiled:
-            from .analysis import verify_result  # local: import cycle
-
-            verify_result(result).raise_if_failed()
-        return result
-
-    # -- merged-group execution ---------------------------------------------------
     def run_merged(
         self,
         circuit: Circuit,
@@ -710,386 +679,87 @@ class StatevectorSimulator:
         batch axis is partitioned into *segments* — one per standalone chunk
         per job — and every random draw is pulled from that chunk's own
         ``SeedSequence``-spawned generator, in standalone order and size.
-        The contract is strict: each returned result's seeded counts are
-        **bit-identical** to ``run(circuit, shots=..., seed=...)`` alone.
+        :meth:`run` is the one-job case of the same plan and chunk runner, so
+        each returned result's seeded counts are **bit-identical** to
+        ``run(circuit, shots=..., seed=...)`` alone by construction.
 
-        Results executed through a genuinely merged path carry
-        ``metadata["merged"] = {"group_size", "position", "merged_chunks"}``;
-        jobs that cannot merge fall back to a solo :meth:`run` with identical
-        semantics (reference/density engines, zero-shot jobs, and amplitude
-        jobs whose standalone chunk plan contains a width-1 chunk — dense
-        GEMM columns are only bit-stable across batch widths >= 2).
+        Results executed in the merged group carry
+        ``metadata["merged"] = {"group_size", "position", "merged_chunks"}``
+        (``merged_chunks`` counts the group's super-chunks).  Jobs that
+        cannot share a batch axis run as their own one-job plan and carry
+        solo metadata: every job on the reference and density engines,
+        zero-shot jobs, and amplitude jobs whose standalone chunk plan
+        contains a width-1 chunk (dense GEMM columns are only bit-stable
+        across batch widths >= 2).  ``fault_plan`` chunk ids are the
+        super-chunk ids of the plan a job ran in.
         """
         specs = [(int(shots), seed) for shots, seed in specs]
         for shots, _ in specs:
             if shots < 0:
                 raise SimulationError("shots must be non-negative")
+        return self._run_plan(circuit, specs, merged=True)
+
+    def _run_plan(
+        self,
+        circuit: Circuit,
+        specs: List[Tuple[int, Optional[int]]],
+        *,
+        merged: bool,
+        return_statevector: bool = False,
+    ) -> List[SimulationResult]:
+        """The one execution path behind :meth:`run` and :meth:`run_merged`.
+
+        Resolves the engine and path for *circuit*, then runs *specs* as one
+        plan.  *merged* selects the group metadata; a solo run is the
+        one-job plan with ``merged=False``.
+        """
         engine = self.trajectory_engine
         if engine == "auto":
             from .fusion import is_clifford_circuit  # local: import cycle
 
             engine = "stabilizer" if is_clifford_circuit(circuit) else "batched"
+        if engine == "density":
+            # The exact oracle handles every construct (noise, mid-circuit
+            # measurement, reset) in closed form, so it owns the whole run.
+            from .density import DensityMatrixSimulator  # local: import cycle
+
+            oracle = DensityMatrixSimulator(
+                noise_model=self.noise_model,
+                sampling=self.density_sampling,
+                verify_compiled=self.verify_compiled,
+            )
+            return [oracle.run(circuit, shots=shots, seed=seed) for shots, seed in specs]
+        if engine == "reference":
+            # The scalar specification has no batch axis to merge on.
+            merged = False
         if engine == "stabilizer":
-            return self._run_stabilizer_merged(circuit, specs)
-        if self.trajectory_engine in ("density", "reference"):
-            # No batch axis to merge on: the density oracle is closed-form
-            # and the reference engine is the scalar specification.
-            return [self.run(circuit, shots=s, seed=sd) for s, sd in specs]
-        needs_trajectories = (
-            (self.noise_model is not None and not self.noise_model.is_noiseless)
+            # The tableau engine owns the whole run: it has no exact-path
+            # analogue (no amplitudes) and no width cap to fall back under.
+            results = self._run_stabilizer(circuit, specs, merged)
+        elif not (
+            self._active_noise() is not None
             or not circuit.measurements_are_terminal()
             or any(inst.name == "reset" for inst in circuit.instructions)
-        )
-        if not needs_trajectories:
-            return self._run_exact_merged(circuit, specs)
-        return self._run_trajectories_merged(circuit, specs)
-
-    @staticmethod
-    def _standalone_chunk_sizes(batch_size: int, shots: int) -> List[int]:
-        """The chunk decomposition a standalone run of *shots* would use."""
-        sizes = [batch_size] * (shots // batch_size)
-        if shots % batch_size:
-            sizes.append(shots % batch_size)
-        return sizes
-
-    @staticmethod
-    def _pack_merged_chunks(job_plans, cap: Optional[int]) -> List[List[tuple]]:
-        """First-fit pack standalone chunks into merged super-chunks.
-
-        *job_plans* maps job index -> list of ``(size, stream)`` standalone
-        chunks (``None`` for solo-fallback jobs).  Chunks are never split —
-        each keeps its standalone size and stream, so per-segment draws are
-        untouched; the packing only decides which chunks share one tensor
-        (bin choice cannot affect bit-identity, only throughput).  *cap* is
-        the super-chunk capacity in shots (``None`` = unbounded), the same
-        byte-budget-derived cap that sized the standalone chunks, so peak
-        memory per super-chunk matches a standalone chunk's.  Deterministic
-        and independent of worker count.  Returns super-chunks as lists of
-        ``(job, chunk_id, size, stream)``.
-        """
-        flat = [
-            (job, chunk_id, size, stream)
-            for job, plan in enumerate(job_plans)
-            if plan is not None
-            for chunk_id, (size, stream) in enumerate(plan)
-        ]
-        if cap is None:
-            return [flat] if flat else []
-        out: List[List[tuple]] = []
-        remaining: List[int] = []
-        for entry in flat:
-            size = entry[2]
-            for i in range(len(out)):
-                if remaining[i] >= size:
-                    out[i].append(entry)
-                    remaining[i] -= size
-                    break
-            else:
-                out.append([entry])
-                remaining.append(cap - size)
-        return out
-
-    def _run_merged_chunks_threaded(self, num_chunks: int, run_merged_chunk):
-        """Run merged super-chunks on the thread executor (serial when 1 worker).
-
-        Same BLAS-pinning policy as the standalone chunk dispatch; returns
-        the flattened ``(job, chunk_id, bits)`` rows of every super-chunk.
-        """
-        if num_chunks == 0:
-            return []
-        workers = min(self.trajectory_workers, num_chunks)
-        if workers <= 1:
-            return [
-                row for chunk in range(num_chunks) for row in run_merged_chunk(chunk)
+        ):
+            results = self._run_exact(circuit, specs, merged, return_statevector)
+        elif engine == "reference":
+            results = [
+                self._run_trajectories_reference(circuit, shots, seed, return_statevector)
+                for shots, seed in specs
             ]
-        from .threads import limit_blas_threads
-
-        if self.pin_blas_threads:
-            guard = limit_blas_threads(max(1, (os.cpu_count() or 1) // workers))
         else:
-            guard = nullcontext()
-        with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-            return [
-                row
-                for chunk_rows in pool.map(run_merged_chunk, range(num_chunks))
-                for row in chunk_rows
-            ]
-
-    def _run_trajectories_merged(
-        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]]
-    ) -> List[SimulationResult]:
-        """Merged batched-amplitude execution (see :meth:`run_merged`)."""
-        from .fusion import compile_trajectory_program_cached
-
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_trajectory_program_cached(
-            circuit, noise, dtype=np.dtype(self.trajectory_dtype)
-        )
+            results = self._run_trajectories(circuit, specs, merged, return_statevector)
         if self.verify_compiled:
-            self._verify_compiled_artifacts(circuit, program)
-        implicit = program.terminal is not None and program.terminal.implicit
-        n = circuit.num_qubits
-        job_plans: List[Optional[List[tuple]]] = []
-        job_batch: List[int] = []
-        for shots, seed in specs:
-            if shots == 0:
-                job_plans.append(None)
-                job_batch.append(0)
-                continue
-            batch_size = self._batch_size_for(n, shots)
-            sizes = self._standalone_chunk_sizes(batch_size, shots)
-            job_batch.append(batch_size)
-            if min(sizes) < 2:
-                # Width-1 guard: a one-shot chunk's dense GEMM rounds
-                # differently from the same column inside a wider batch
-                # (~1 ulp), which can flip a sampled outcome.  Bit-identity
-                # wins over merging, so the job runs solo.
-                job_plans.append(None)
-                continue
-            streams = np.random.SeedSequence(seed).spawn(len(sizes))
-            job_plans.append(list(zip(sizes, streams)))
-        if self.max_batch_memory is None:
-            cap = None
-        else:
-            itemsize = np.dtype(self.trajectory_dtype).itemsize
-            cap = max(1, self.max_batch_memory // (2 * itemsize * (1 << n)))
-        merged_chunks = self._pack_merged_chunks(job_plans, cap)
+            from .analysis import verify_result  # local: import cycle
 
-        def run_merged_chunk(chunk: int):
-            segs = merged_chunks[chunk]
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            segments = [
-                (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-            ]
-            merged_bits = execute_program_segments(
-                program,
-                segments,
-                noise_model=noise,
-                dtype=self.trajectory_dtype,
-                gemm_threshold=self.noise_gemm_threshold,
-            )
-            rows = []
-            offset = 0
-            for job, chunk_id, size, _ in segs:
-                rows.append((job, chunk_id, merged_bits[offset : offset + size]))
-                offset += size
-            return rows
-
-        recovery = None
-        if not merged_chunks:
-            rows = []
-        elif self.trajectory_executor == "process":
-            from .fusion import compile_parametric_template_cached
-            from .procpool import run_merged_trajectory_chunks
-
-            workers = min(self.trajectory_workers, len(merged_chunks))
-            blas_threads = (
-                max(1, (os.cpu_count() or 1) // workers)
-                if self.pin_blas_threads and workers > 1
-                else None
-            )
-            rows, recovery = run_merged_trajectory_chunks(
-                circuit,
-                compile_parametric_template_cached(circuit),
-                self.noise_model,
-                merged_chunks,
-                workers=workers,
-                dtype=self.trajectory_dtype,
-                gemm_threshold=self.noise_gemm_threshold,
-                blas_threads=blas_threads,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            rows = self._run_merged_chunks_threaded(len(merged_chunks), run_merged_chunk)
-        per_job: Dict[int, Dict[int, np.ndarray]] = {}
-        for job, chunk_id, chunk_bits in rows:
-            per_job.setdefault(job, {})[chunk_id] = chunk_bits
-        results: List[SimulationResult] = []
-        for j, (shots, seed) in enumerate(specs):
-            if job_plans[j] is None:
-                results.append(self.run(circuit, shots=shots, seed=seed))
-                continue
-            chunks = per_job.get(j, {})
-            bits = np.concatenate(
-                [chunks[cid] for cid in range(len(job_plans[j]))], axis=0
-            )
-            metadata: Dict[str, object] = {
-                "method": "trajectories",
-                "statevector_kind": "none",
-                "trajectory_engine": "batched",
-                "trajectory_dtype": self.trajectory_dtype,
-                "trajectory_workers": self.trajectory_workers,
-                "trajectory_executor": self.trajectory_executor,
-                "implicit_measurement": implicit,
-                "num_batches": len(job_plans[j]),
-                "batch_size": job_batch[j],
-                "compiled_steps": len(program.steps),
-                "merged": {
-                    "group_size": len(specs),
-                    "position": j,
-                    "merged_chunks": len(merged_chunks),
-                },
-            }
-            if recovery is not None:
-                metadata["executor_recovery"] = recovery
-            result = SimulationResult(
-                counts=Counts.from_array(bits), shots=shots, seed=seed, metadata=metadata
-            )
-            if self.verify_compiled:
-                from .analysis import verify_result  # local: import cycle
-
+            for result in results:
                 verify_result(result).raise_if_failed()
-            results.append(result)
         return results
 
-    def _run_stabilizer_merged(
-        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]]
-    ) -> List[SimulationResult]:
-        """Merged stabilizer-tableau execution (see :meth:`run_merged`).
-
-        Integer tableau updates are exact at every batch width, so there is
-        no width-1 guard here: every nonzero-shot job merges.
-        """
-        from .fusion import compile_stabilizer_program_cached  # local: import cycle
-        from .stabilizer import execute_stabilizer_program_segments
-
+    def _active_noise(self) -> Optional[NoiseModel]:
+        """The noise model, or ``None`` when it is absent or every rate is zero."""
         noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_stabilizer_program_cached(circuit, noise)
-        if self.verify_compiled:
-            from .analysis import verify_stabilizer_program  # local: import cycle
-
-            verify_stabilizer_program(program).raise_if_failed()
-        implicit = program.terminal is not None and program.terminal.implicit
-        job_plans: List[Optional[List[tuple]]] = []
-        job_batch: List[int] = []
-        for shots, seed in specs:
-            if shots == 0:
-                job_plans.append(None)
-                job_batch.append(0)
-                continue
-            batch_size = self._stabilizer_batch_size(
-                circuit.num_qubits, program.bits_width, shots
-            )
-            sizes = self._standalone_chunk_sizes(batch_size, shots)
-            job_batch.append(batch_size)
-            streams = np.random.SeedSequence(seed).spawn(len(sizes))
-            job_plans.append(list(zip(sizes, streams)))
-        if self.max_batch_memory is None:
-            cap = None
-        else:
-            bytes_per_shot = 2 * circuit.num_qubits + program.bits_width
-            cap = max(1, self.max_batch_memory // bytes_per_shot)
-        merged_chunks = self._pack_merged_chunks(job_plans, cap)
-
-        def run_merged_chunk(chunk: int):
-            segs = merged_chunks[chunk]
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            segments = [
-                (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-            ]
-            merged_bits = execute_stabilizer_program_segments(program, segments, noise)
-            rows = []
-            offset = 0
-            for job, chunk_id, size, _ in segs:
-                rows.append((job, chunk_id, merged_bits[offset : offset + size]))
-                offset += size
-            return rows
-
-        recovery = None
-        if not merged_chunks:
-            rows = []
-        elif self.trajectory_executor == "process":
-            from .procpool import run_merged_stabilizer_chunks
-
-            workers = min(self.trajectory_workers, len(merged_chunks))
-            rows, recovery = run_merged_stabilizer_chunks(
-                program,
-                noise,
-                merged_chunks,
-                workers=workers,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            rows = self._run_merged_chunks_threaded(len(merged_chunks), run_merged_chunk)
-        per_job: Dict[int, Dict[int, np.ndarray]] = {}
-        for job, chunk_id, chunk_bits in rows:
-            per_job.setdefault(job, {})[chunk_id] = chunk_bits
-        results: List[SimulationResult] = []
-        for j, (shots, seed) in enumerate(specs):
-            if job_plans[j] is None:
-                results.append(self.run(circuit, shots=shots, seed=seed))
-                continue
-            chunks = per_job.get(j, {})
-            bits = np.concatenate(
-                [chunks[cid] for cid in range(len(job_plans[j]))], axis=0
-            )
-            metadata: Dict[str, object] = {
-                "method": "trajectories",
-                "statevector_kind": "none",
-                "trajectory_engine": "stabilizer",
-                "trajectory_workers": self.trajectory_workers,
-                "trajectory_executor": self.trajectory_executor,
-                "implicit_measurement": implicit,
-                "num_batches": len(job_plans[j]),
-                "batch_size": job_batch[j],
-                "compiled_steps": len(program.steps),
-                "merged": {
-                    "group_size": len(specs),
-                    "position": j,
-                    "merged_chunks": len(merged_chunks),
-                },
-            }
-            if recovery is not None:
-                metadata["executor_recovery"] = recovery
-            result = SimulationResult(
-                counts=Counts.from_array(bits), shots=shots, seed=seed, metadata=metadata
-            )
-            if self.verify_compiled:
-                from .analysis import verify_result  # local: import cycle
-
-                verify_result(result).raise_if_failed()
-            results.append(result)
-        return results
-
-    def _run_exact_merged(
-        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]]
-    ) -> List[SimulationResult]:
-        """Merged exact-path execution: one evolution, per-job sampling.
-
-        The exact path consumes no RNG before sampling, so evolving once and
-        drawing each job's shots with a fresh per-job generator is trivially
-        bit-identical to N standalone runs.
-        """
-        state, measure_map = self._evolve_exact(circuit)
-        results: List[SimulationResult] = []
-        for j, (shots, seed) in enumerate(specs):
-            rng = np.random.default_rng(seed)
-            counts, extra = self._sample_exact(state, measure_map, circuit, shots, rng)
-            metadata: Dict[str, object] = {
-                "method": "exact",
-                "statevector_kind": "pre_measurement",
-                "merged": {
-                    "group_size": len(specs),
-                    "position": j,
-                    "merged_chunks": 1,
-                },
-            }
-            metadata.update(extra)
-            result = SimulationResult(
-                counts=counts, shots=shots, seed=seed, metadata=metadata
-            )
-            if self.verify_compiled:
-                from .analysis import verify_result  # local: import cycle
-
-                verify_result(result).raise_if_failed()
-            results.append(result)
-        return results
+        return None if noise is None or noise.is_noiseless else noise
 
     def _verify_compiled_artifacts(self, circuit: Circuit, program) -> None:
         """``verify_compiled`` knob path: verify one run's compiled artifacts.
@@ -1105,145 +775,32 @@ class StatevectorSimulator:
         verify_template(compile_parametric_template(circuit), circuit).raise_if_failed()
         verify_program(program).raise_if_failed()
 
-    # -- stabilizer path ---------------------------------------------------------
-    def _stabilizer_batch_size(self, num_qubits: int, bits_width: int, shots: int) -> int:
-        """Largest tableau chunk whose per-shot memory fits ``max_batch_memory``.
-
-        A stabilizer shot costs ``2 n`` phase bytes plus ``bits_width``
-        outcome bytes (the shared bit matrices are a fixed ``4 n^2`` bytes
-        per chunk, amortised across the batch), so the same byte budget that
-        admits hundreds of amplitude trajectories admits hundreds of
-        thousands of tableau trajectories.  The decomposition depends only on
-        the budget, the width and the shot count — never on
-        ``trajectory_workers`` — preserving bit-identical seeded counts.
-        """
-        if self.max_batch_memory is None:
-            return shots
-        bytes_per_shot = 2 * num_qubits + bits_width
-        return max(1, min(shots, self.max_batch_memory // bytes_per_shot))
-
-    def _run_stabilizer(
-        self, circuit: Circuit, shots: int, seed: Optional[int]
-    ) -> SimulationResult:
-        """Run the whole circuit on the batched stabilizer tableau engine.
-
-        Mirrors the batched amplitude engine's execution policy: the circuit
-        compiles once through the structure-keyed stabilizer cache (Clifford
-        lowering plus Pauli-channel noise steps;
-        :class:`~repro.core.errors.UnsupportedGateError` on non-Clifford
-        gates), the shot axis splits into ``max_batch_memory``-sized chunks,
-        each chunk draws from its own ``SeedSequence``-spawned stream, and
-        ``trajectory_workers`` threads execute the chunks — seeded counts
-        are bit-identical for every worker count.  The result never carries
-        a statevector (``statevector_kind="none"``).
-        """
-        from .fusion import compile_stabilizer_program_cached  # local: import cycle
-        from .stabilizer import execute_stabilizer_program
-
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        metadata: Dict[str, object] = {
-            "method": "trajectories",
-            "statevector_kind": "none",
-            "trajectory_engine": "stabilizer",
-            "trajectory_workers": self.trajectory_workers,
-            "trajectory_executor": self.trajectory_executor,
-        }
-        if shots == 0:
-            metadata.update(
-                {"implicit_measurement": False, "num_batches": 0, "batch_size": 0}
-            )
-            return SimulationResult(
-                counts=Counts({}), shots=shots, seed=seed, metadata=metadata
-            )
-        program = compile_stabilizer_program_cached(circuit, noise)
-        if self.verify_compiled:
-            from .analysis import verify_stabilizer_program  # local: import cycle
-
-            verify_stabilizer_program(program).raise_if_failed()
-        implicit = program.terminal is not None and program.terminal.implicit
-        batch_size = self._stabilizer_batch_size(
-            circuit.num_qubits, program.bits_width, shots
-        )
-        sizes = [batch_size] * (shots // batch_size)
-        if shots % batch_size:
-            sizes.append(shots % batch_size)
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
-
-        def run_chunk(chunk: int) -> np.ndarray:
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            return execute_stabilizer_program(
-                program, sizes[chunk], np.random.default_rng(streams[chunk]), noise
-            )
-
-        workers = min(self.trajectory_workers, len(sizes))
-        if self.trajectory_executor == "process":
-            from .procpool import run_stabilizer_chunks
-
-            results, recovery = run_stabilizer_chunks(
-                program, noise, sizes, streams, workers=workers,
-                fault_plan=self.fault_plan,
-            )
-            metadata["executor_recovery"] = recovery
-        elif workers <= 1:
-            results = [run_chunk(chunk) for chunk in range(len(sizes))]
-        else:
-            from .threads import limit_blas_threads
-
-            if self.pin_blas_threads:
-                guard = limit_blas_threads(max(1, (os.cpu_count() or 1) // workers))
-            else:
-                guard = nullcontext()
-            with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_chunk, range(len(sizes))))
-        counts = Counts.from_array(np.concatenate(results, axis=0))
-        metadata.update(
-            {
-                "implicit_measurement": implicit,
-                "num_batches": len(sizes),
-                "batch_size": batch_size,
-                "compiled_steps": len(program.steps),
-            }
-        )
-        result = SimulationResult(
-            counts=counts, shots=shots, seed=seed, metadata=metadata
-        )
-        if self.verify_compiled:
-            from .analysis import verify_result  # local: import cycle
-
-            verify_result(result).raise_if_failed()
-        return result
-
     # -- exact path -------------------------------------------------------------
     def _run_exact(
-        self, circuit: Circuit, shots: int, rng: np.random.Generator
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
-        """Evolve once through the fused program, then sample all shots.
+        self,
+        circuit: Circuit,
+        specs: List[Tuple[int, Optional[int]]],
+        merged: bool,
+        return_statevector: bool,
+    ) -> List[SimulationResult]:
+        """Evolve once through the fused program, then sample each job's shots.
 
         The gates are compiled through the parametric template cache (the
         circuit is noiseless here, and any gates appearing after a terminal
         measurement act on *other* qubits and commute with it), so repeated
         structurally identical circuits — a variational optimisation loop —
-        skip the fusion analysis and only re-bind the fused matrices.
-        """
-        state, measure_map = self._evolve_exact(circuit)
-        counts, extra = self._sample_exact(state, measure_map, circuit, shots, rng)
-        return counts, state, extra
-
-    def _evolve_exact(self, circuit: Circuit) -> Tuple[Statevector, Dict[int, int]]:
-        """Evolve the exact pre-measurement state of *circuit* once.
-
-        Returns the evolved :class:`Statevector` and the clbit -> qubit map of
-        the circuit's (terminal) measure instructions.  Shared by the solo and
-        merged exact paths.
+        skip the fusion analysis and only re-bind the fused matrices.  The
+        exact path consumes no RNG before sampling, so drawing each job's
+        shots from the one shared state with the job's own fresh generator is
+        exactly what a standalone run draws; a merged group is one plan with
+        one super-chunk (``merged_chunks == 1``).
         """
         from .fusion import compile_trajectory_program_cached  # local: import cycle
 
-        state = Statevector(circuit.num_qubits)
+        n = circuit.num_qubits
+        state = Statevector(n)
         measure_map: Dict[int, int] = {}
-        gates_only = Circuit(circuit.num_qubits, name=circuit.name)
+        gates_only = Circuit(n, name=circuit.name)
         for inst in circuit.instructions:
             if inst.name == "barrier":
                 continue
@@ -1257,214 +814,385 @@ class StatevectorSimulator:
                 self._verify_compiled_artifacts(gates_only, program)
             for step in program.steps:
                 state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
-        return state, measure_map
-
-    @staticmethod
-    def _sample_exact(
-        state: Statevector,
-        measure_map: Dict[int, int],
-        circuit: Circuit,
-        shots: int,
-        rng: np.random.Generator,
-    ) -> Tuple[Counts, Dict[str, object]]:
-        """Sample *shots* outcomes from an already-evolved exact state.
-
-        Split out of :meth:`_run_exact` so merged-group execution
-        (:meth:`run_merged`) can evolve the shared state once and draw each
-        job's shots with the job's own fresh generator — exactly the draws a
-        standalone run makes, since the exact path consumes no RNG before
-        sampling.
-        """
-        if shots == 0:
-            return Counts({}), {"implicit_measurement": False}
-        if not measure_map:
+        probs = state.probabilities()
+        results: List[SimulationResult] = []
+        for position, (shots, seed) in enumerate(specs):
             # Documented contract: measurement-free circuits are measured
             # implicitly at the end, keyed over all qubits in qubit order.
-            return state.sample_counts(shots, rng), {"implicit_measurement": True}
+            implicit = shots > 0 and not measure_map
+            data: Dict[str, int] = {}
+            if shots > 0:
+                rng = np.random.default_rng(seed)
+                outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+                for index, multiplicity in zip(*np.unique(outcomes, return_counts=True)):
+                    key = index_to_bits(int(index), n)
+                    if not implicit:
+                        key_chars = ["0"] * circuit.num_clbits
+                        for clbit, qubit in measure_map.items():
+                            key_chars[clbit] = key[qubit]
+                        key = "".join(key_chars)
+                    data[key] = data.get(key, 0) + int(multiplicity)
+            metadata: Dict[str, object] = {
+                "method": "exact",
+                "statevector_kind": "pre_measurement",
+            }
+            if merged:
+                metadata["merged"] = {
+                    "group_size": len(specs),
+                    "position": position,
+                    "merged_chunks": 1,
+                }
+            metadata["implicit_measurement"] = implicit
+            results.append(
+                SimulationResult(
+                    counts=Counts(data),
+                    statevector=state if return_statevector else None,
+                    shots=shots,
+                    seed=seed,
+                    metadata=metadata,
+                )
+            )
+        return results
 
-        num_clbits = circuit.num_clbits
-        probs = state.probabilities()
-        outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-        data: Dict[str, int] = {}
-        for index, multiplicity in zip(*np.unique(outcomes, return_counts=True)):
-            full = index_to_bits(int(index), circuit.num_qubits)
-            key_chars = ["0"] * num_clbits
-            for clbit, qubit in measure_map.items():
-                key_chars[clbit] = full[qubit]
-            key = "".join(key_chars)
-            data[key] = data.get(key, 0) + int(multiplicity)
-        return Counts(data), {"implicit_measurement": False}
-
-    # -- trajectory path -----------------------------------------------------------
+    # -- chunked engines: one plan, one runner per engine ------------------------
     def _run_trajectories(
-        self, circuit: Circuit, shots: int, rng: np.random.Generator, seed: Optional[int]
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
-        """Dispatch to the selected trajectory engine."""
-        if self.trajectory_engine == "reference":
-            return self._run_trajectories_reference(circuit, shots, rng)
-        return self._run_trajectories_batched(circuit, shots, seed)
+        self,
+        circuit: Circuit,
+        specs: List[Tuple[int, Optional[int]]],
+        merged: bool,
+        return_statevector: bool,
+    ) -> List[SimulationResult]:
+        """Batched amplitude engine: compile once, then run the shared plan.
 
-    def _batch_size_for(self, num_qubits: int, shots: int) -> int:
-        """Largest shot chunk whose state + scratch fit ``max_batch_memory``."""
-        if self.max_batch_memory is None:
-            return shots
-        itemsize = np.dtype(self.trajectory_dtype).itemsize
-        bytes_per_shot = 2 * itemsize * (1 << num_qubits)  # tensor + scratch
-        return max(1, min(shots, self.max_batch_memory // bytes_per_shot))
-
-    def _run_trajectories_batched(
-        self, circuit: Circuit, shots: int, seed: Optional[int]
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
-        """Compile once, then run the shot chunks (possibly across threads).
-
-        The shot axis is first split into chunks sized by ``max_batch_memory``
-        — a decomposition that depends only on the byte budget, the circuit
-        width, the dtype, and the shot count, never on ``trajectory_workers``.
-        Every chunk gets its own RNG stream spawned from
-        ``SeedSequence(seed)``, so a seeded run produces bit-identical counts
-        whether the chunks execute serially or on a thread pool: the heavy
-        NumPy kernels release the GIL, and no mutable state is shared between
-        chunks (each :class:`BatchedStatevector` owns its buffers; compiled
-        program data and gate caches are read-only at this point).
+        One trajectory's working set is its state column plus the scratch
+        buffer (``2 x itemsize x 2^n`` bytes), which sizes the chunks.  Every
+        chunk owns its :class:`~repro.simulators.gate.batched.BatchedStatevector`
+        and the compiled program and gate caches are read-only here, so
+        chunks run serially, on threads (the heavy NumPy kernels release the
+        GIL) or on the process pool with bit-identical counts.  Process
+        workers adopt the parent's parametric template and bind the program
+        into their own warm caches.
         """
-        from .batched import BatchedStatevector  # local import: cycle with batched.py
-        from .fusion import compile_trajectory_program_cached
+        from .fusion import (  # local: import cycle
+            compile_parametric_template_cached,
+            compile_trajectory_program_cached,
+        )
 
-        extra: Dict[str, object] = {
-            "trajectory_engine": "batched",
-            "trajectory_dtype": self.trajectory_dtype,
+        noise = self._active_noise()
+        dtype = self.trajectory_dtype
+
+        def prepare() -> _ChunkedEngine:
+            program = compile_trajectory_program_cached(
+                circuit, noise, dtype=np.dtype(dtype)
+            )
+            if self.verify_compiled:
+                self._verify_compiled_artifacts(circuit, program)
+            template = (
+                compile_parametric_template_cached(circuit)
+                if self.trajectory_executor == "process"
+                else None
+            )
+            return _ChunkedEngine(
+                program=program,
+                bytes_per_shot=2 * np.dtype(dtype).itemsize * (1 << circuit.num_qubits),
+                run_segments=partial(
+                    execute_program_segments,
+                    program,
+                    noise_model=noise,
+                    dtype=dtype,
+                    gemm_threshold=self.noise_gemm_threshold,
+                ),
+                worker=(
+                    "batched",
+                    (circuit, template, noise, dtype, self.noise_gemm_threshold),
+                ),
+            )
+
+        return self._run_chunked(
+            circuit,
+            specs,
+            merged,
+            prepare,
+            {"trajectory_engine": "batched", "trajectory_dtype": dtype},
+            amplitudes=True,
+            return_statevector=return_statevector,
+        )
+
+    def _run_stabilizer(
+        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]], merged: bool
+    ) -> List[SimulationResult]:
+        """Batched stabilizer tableau engine: compile once, then run the shared plan.
+
+        The circuit compiles once through the structure-keyed stabilizer
+        cache (Clifford lowering plus Pauli-channel noise steps;
+        :class:`~repro.core.errors.UnsupportedGateError` on non-Clifford
+        gates).  A stabilizer shot costs ``2 n`` phase bytes plus
+        ``bits_width`` outcome bytes (the shared bit matrices are a fixed
+        ``4 n^2`` bytes per chunk, amortised across the batch), so the same
+        byte budget that admits hundreds of amplitude trajectories admits
+        hundreds of thousands of tableau trajectories.  The program is
+        parameter-free and ships to process workers as is.  Results never
+        carry a statevector (``statevector_kind="none"``).
+        """
+        from .fusion import compile_stabilizer_program_cached  # local: import cycle
+        from .stabilizer import execute_stabilizer_program_segments
+
+        noise = self._active_noise()
+
+        def prepare() -> _ChunkedEngine:
+            program = compile_stabilizer_program_cached(circuit, noise)
+            if self.verify_compiled:
+                from .analysis import verify_stabilizer_program  # local: import cycle
+
+                verify_stabilizer_program(program).raise_if_failed()
+            return _ChunkedEngine(
+                program=program,
+                bytes_per_shot=2 * circuit.num_qubits + program.bits_width,
+                run_segments=partial(
+                    execute_stabilizer_program_segments, program, noise_model=noise
+                ),
+                worker=("stabilizer", (program, noise)),
+            )
+
+        return self._run_chunked(
+            circuit,
+            specs,
+            merged,
+            prepare,
+            {"trajectory_engine": "stabilizer"},
+            amplitudes=False,
+        )
+
+    def _run_chunked(
+        self,
+        circuit: Circuit,
+        specs: List[Tuple[int, Optional[int]]],
+        merged: bool,
+        prepare,
+        engine_metadata: Dict[str, object],
+        *,
+        amplitudes: bool,
+        return_statevector: bool = False,
+    ) -> List[SimulationResult]:
+        """Plan, pack, execute and reassemble *specs* on a chunked engine.
+
+        *prepare* compiles the run's :class:`_ChunkedEngine`; it is skipped
+        when every job has zero shots.  Planning: each job's shot axis splits
+        into chunks of at most ``max_batch_memory // bytes_per_shot`` shots —
+        a decomposition that depends only on the byte budget, the circuit,
+        the dtype and the job's shot count, never on ``trajectory_workers``
+        or the rest of the group — and chunk ``i`` draws from the ``i``-th
+        ``SeedSequence(seed)``-spawned stream.  The jobs that run together
+        are packed into super-chunks (:meth:`_pack`), executed
+        (:meth:`_execute_plan`) and sliced back per ``(job, chunk_id)``.
+
+        A solo run is one plan.  A merged group runs its sharable jobs as one
+        plan; a zero-shot job gets empty counts, and on the amplitude engine
+        (*amplitudes*) a job with a width-1 chunk runs as its own one-job
+        plan: a one-shot chunk's dense GEMM rounds differently from the same
+        column inside a wider batch (~1 ulp), which can flip a sampled
+        outcome, so bit-identity wins over merging.
+        """
+        base: Dict[str, object] = {
+            "method": "trajectories",
+            "statevector_kind": "none",
+            **engine_metadata,
             "trajectory_workers": self.trajectory_workers,
             "trajectory_executor": self.trajectory_executor,
         }
-        if shots == 0:
-            extra.update({"implicit_measurement": False, "num_batches": 0, "batch_size": 0})
-            return Counts({}), Statevector(circuit.num_qubits), extra
 
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_trajectory_program_cached(
-            circuit, noise, dtype=np.dtype(self.trajectory_dtype)
-        )
-        if self.verify_compiled:
-            self._verify_compiled_artifacts(circuit, program)
+        def solo_kind(implicit: bool) -> str:
+            if not amplitudes:
+                return "none"
+            # Implicit sampling never collapses: the state is pre-measurement.
+            return "pre_measurement" if implicit else "final_trajectory"
+
+        results: List[Optional[SimulationResult]] = [None] * len(specs)
+        for j, (shots, seed) in enumerate(specs):
+            if shots == 0:
+                results[j] = SimulationResult(
+                    counts=Counts({}),
+                    statevector=Statevector(circuit.num_qubits) if return_statevector else None,
+                    shots=0,
+                    seed=seed,
+                    metadata={
+                        **base,
+                        "statevector_kind": solo_kind(False),
+                        "implicit_measurement": False,
+                        "num_batches": 0,
+                        "batch_size": 0,
+                    },
+                )
+        live = [j for j, (shots, _) in enumerate(specs) if shots > 0]
+        if not live:
+            return results
+        engine = prepare()
+        program = engine.program
         implicit = program.terminal is not None and program.terminal.implicit
-        batch_size = self._batch_size_for(circuit.num_qubits, shots)
-        sizes = [batch_size] * (shots // batch_size)
-        if shots % batch_size:
-            sizes.append(shots % batch_size)
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
-
-        def run_chunk(chunk: int):
-            """One chunk's bit rows; the chunk state is kept only for the last
-            chunk (the result-statevector contract) so peak memory stays at
-            ~``workers x max_batch_memory`` instead of one state per chunk."""
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            bits, state, last_index = self._run_batch(
-                program, sizes[chunk], np.random.default_rng(streams[chunk])
-            )
-            if chunk == len(sizes) - 1:
-                return bits, state, last_index
-            return bits, None, None
-
-        workers = min(self.trajectory_workers, len(sizes))
-        if self.trajectory_executor == "process":
-            from .fusion import compile_parametric_template_cached
-            from .procpool import run_trajectory_chunks
-
-            # Each worker process runs its own BLAS pools, so the
-            # oversubscription cap applies per process instead of via the
-            # parent's thread-local guard.
-            blas_threads = (
-                max(1, (os.cpu_count() or 1) // workers)
-                if self.pin_blas_threads and workers > 1
-                else None
-            )
-            bits_rows, state_data, last_index, recovery = run_trajectory_chunks(
-                circuit,
-                compile_parametric_template_cached(circuit),
-                self.noise_model,
-                sizes,
-                streams,
-                workers=workers,
-                dtype=self.trajectory_dtype,
-                gemm_threshold=self.noise_gemm_threshold,
-                blas_threads=blas_threads,
-                fault_plan=self.fault_plan,
-            )
-            extra["executor_recovery"] = recovery
-            counts = Counts.from_array(np.concatenate(bits_rows, axis=0))
-            final_state = Statevector(circuit.num_qubits, data=state_data)
+        if self.max_batch_memory is None:
+            cap = None
         else:
-            if workers <= 1:
-                results = [run_chunk(chunk) for chunk in range(len(sizes))]
-            else:
-                from .threads import limit_blas_threads
-
-                # Cap BLAS at cores-per-worker: without the cap every worker's
-                # GEMMs spawn a full OpenMP team and the workers x cores
-                # oversubscription erases the parallel speedup; capping below
-                # cores/workers would idle cores.  Knob: ``pin_blas_threads``.
-                if self.pin_blas_threads:
-                    guard = limit_blas_threads(max(1, (os.cpu_count() or 1) // workers))
+            cap = max(1, self.max_batch_memory // engine.bytes_per_shot)
+        chunks: Dict[int, List[tuple]] = {}
+        for j in live:
+            shots, seed = specs[j]
+            batch = shots if cap is None else min(shots, cap)
+            sizes = [batch] * (shots // batch)
+            if shots % batch:
+                sizes.append(shots % batch)
+            chunks[j] = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+        if merged:
+            alone = [j for j in live if amplitudes and min(s for s, _ in chunks[j]) < 2]
+            together = [j for j in live if j not in alone]
+            units = ([(together, True)] if together else []) + [([j], False) for j in alone]
+        else:
+            units = [(live, False)]
+        for jobs, shared in units:
+            plan = self._pack(chunks, jobs, cap)
+            state_chunk = len(plan) - 1 if return_statevector else None
+            rows, final_state, recovery = self._execute_plan(plan, engine, state_chunk)
+            per_job: Dict[int, Dict[int, np.ndarray]] = {j: {} for j in jobs}
+            for job, chunk_id, bits in rows:
+                per_job[job][chunk_id] = bits
+            for j in jobs:
+                shots, seed = specs[j]
+                metadata: Dict[str, object] = {
+                    **base,
+                    "implicit_measurement": implicit,
+                    "num_batches": len(chunks[j]),
+                    "batch_size": chunks[j][0][0],
+                    "compiled_steps": len(program.steps),
+                }
+                if shared:
+                    metadata["merged"] = {
+                        "group_size": len(specs),
+                        "position": j,
+                        "merged_chunks": len(plan),
+                    }
                 else:
-                    guard = nullcontext()
-                with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_chunk, range(len(sizes))))
-            counts = Counts.from_array(
-                np.concatenate([bits for bits, _, _ in results], axis=0)
-            )
-            _, state, last_index = results[-1]
-            final_state = state.extract(-1)
-        if program.terminal is not None and not implicit and last_index is not None:
-            self._collapse_terminal(final_state, program.terminal.pairs, last_index)
-        extra.update(
-            {
-                "implicit_measurement": implicit,
-                "num_batches": len(sizes),
-                "batch_size": batch_size,
-                "compiled_steps": len(program.steps),
-            }
-        )
-        return counts, final_state, extra
-
-    def _run_batch(
-        self, program, batch_size: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, "object", Optional[int]]:
-        """Advance one chunk of trajectories through a compiled program."""
-        return execute_program_chunk(
-            program,
-            batch_size,
-            rng,
-            noise_model=self.noise_model,
-            dtype=self.trajectory_dtype,
-            gemm_threshold=self.noise_gemm_threshold,
-        )
+                    metadata["statevector_kind"] = solo_kind(implicit)
+                if recovery is not None:
+                    metadata["executor_recovery"] = recovery
+                bits = np.concatenate(
+                    [per_job[j][chunk_id] for chunk_id in range(len(chunks[j]))], axis=0
+                )
+                results[j] = SimulationResult(
+                    counts=Counts.from_array(bits),
+                    statevector=final_state,
+                    shots=shots,
+                    seed=seed,
+                    metadata=metadata,
+                )
+        return results
 
     @staticmethod
-    def _collapse_terminal(
-        state: Statevector, pairs: Tuple[Tuple[int, int], ...], index: int
-    ) -> None:
-        """Project *state* onto the sampled outcomes of the terminal measures.
+    def _pack(
+        chunks: Dict[int, List[tuple]], jobs: List[int], cap: Optional[int]
+    ) -> List[List[tuple]]:
+        """First-fit pack the *jobs*' standalone chunks into super-chunks.
 
-        Keeps the ``"final_trajectory"`` statevector contract aligned with
-        the reference engine, which collapses each measured qubit in turn.
+        Chunks are never split — each keeps its standalone size and stream,
+        so per-segment draws are untouched; the packing only decides which
+        chunks share one tensor (bin choice cannot affect bit-identity, only
+        throughput).  *cap* is the super-chunk capacity in shots (``None`` =
+        unbounded), the same byte-budget-derived cap that sized the
+        standalone chunks, so peak memory per super-chunk matches a
+        standalone chunk's.  A full chunk never fits an existing super-chunk,
+        so a one-job plan packs to one super-chunk per chunk and its
+        super-chunk ids are its standalone chunk ids.  Deterministic and
+        independent of worker count.  Returns super-chunks as lists of
+        ``(job, chunk_id, size, stream)``.
         """
-        n = state.num_qubits
-        for qubit, _ in pairs:
-            bit = (index >> (n - 1 - qubit)) & 1
-            projector = [slice(None)] * n
-            projector[qubit] = 1 - bit
-            state._tensor[tuple(projector)] = 0.0
-        norm = np.linalg.norm(state.data)
-        if norm == 0:
-            raise SimulationError("terminal collapse produced a zero-norm state")
-        state._tensor /= norm
+        flat = [
+            (job, chunk_id, size, stream)
+            for job in jobs
+            for chunk_id, (size, stream) in enumerate(chunks[job])
+        ]
+        if cap is None:
+            return [flat]
+        plan: List[List[tuple]] = []
+        open_slots: List[List[int]] = []  # [super-chunk, free shots > 0], in order
+        for entry in flat:
+            size = entry[2]
+            for slot in open_slots:
+                if slot[1] >= size:
+                    plan[slot[0]].append(entry)
+                    slot[1] -= size
+                    if slot[1] == 0:
+                        open_slots.remove(slot)
+                    break
+            else:
+                plan.append([entry])
+                if size < cap:
+                    open_slots.append([len(plan) - 1, cap - size])
+        return plan
 
+    def _execute_plan(self, plan: List[List[tuple]], engine: "_ChunkedEngine", state_chunk):
+        """Run every super-chunk of *plan* on the configured executor.
+
+        Super-chunk ``k`` is ``fault_plan`` chunk id ``k``.  The thread
+        executor runs the chunks serially (one worker) or on a thread pool;
+        the process executor deals them to the persistent worker pool of
+        :mod:`~repro.simulators.gate.procpool`.  Returns
+        ``(rows, final_state, recovery)``: the flattened
+        ``(job, chunk_id, bits)`` rows, the last trajectory state of
+        super-chunk *state_chunk* (``None`` when not requested), and the
+        process pool's crash-recovery counters (``None`` on threads).
+        """
+        workers = min(self.trajectory_workers, len(plan))
+        # Cap BLAS at cores-per-worker: without the cap every worker's GEMMs
+        # spawn a full OpenMP team and the workers x cores oversubscription
+        # erases the parallel speedup; capping below cores/workers would idle
+        # cores.  Knob: ``pin_blas_threads``.  Process workers apply the cap
+        # in their own BLAS pools.
+        blas_threads = (
+            max(1, (os.cpu_count() or 1) // workers)
+            if self.pin_blas_threads and workers > 1
+            else None
+        )
+        if self.trajectory_executor == "process":
+            from .procpool import run_chunks
+
+            name, program_args = engine.worker
+            return run_chunks(
+                name,
+                program_args,
+                plan,
+                workers=workers,
+                blas_threads=blas_threads,
+                state_chunk=state_chunk,
+                fault_plan=self.fault_plan,
+            )
+
+        def run_one(chunk_id: int):
+            return run_super_chunk(
+                engine.run_segments,
+                chunk_id,
+                plan[chunk_id],
+                final_state=chunk_id == state_chunk,
+                fault_plan=self.fault_plan,
+            )
+
+        if workers <= 1:
+            outputs = [run_one(chunk_id) for chunk_id in range(len(plan))]
+        else:
+            from .threads import limit_blas_threads
+
+            guard = limit_blas_threads(blas_threads) if blas_threads else nullcontext()
+            with guard, ThreadPoolExecutor(max_workers=workers) as pool:
+                outputs = list(pool.map(run_one, range(len(plan))))
+        rows = [row for chunk_rows, _ in outputs for row in chunk_rows]
+        final_state = None if state_chunk is None else outputs[state_chunk][1]
+        return rows, final_state, None
+
+    # -- reference trajectories ----------------------------------------------------
     def _run_trajectories_reference(
-        self, circuit: Circuit, shots: int, rng: np.random.Generator
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
+        self,
+        circuit: Circuit,
+        shots: int,
+        seed: Optional[int],
+        return_statevector: bool,
+    ) -> SimulationResult:
         """Per-shot reference implementation (scalar executable specification).
 
         Executes the *same* compiled :class:`TrajectoryProgram` as the
@@ -1484,13 +1212,22 @@ class StatevectorSimulator:
             compile_trajectory_program_cached,
         )
 
-        extra: Dict[str, object] = {"trajectory_engine": "reference"}
+        rng = np.random.default_rng(seed)
+        metadata: Dict[str, object] = {
+            "method": "trajectories",
+            "statevector_kind": "final_trajectory",
+            "trajectory_engine": "reference",
+        }
         if shots == 0:
-            extra["implicit_measurement"] = False
-            return Counts({}), Statevector(circuit.num_qubits), extra
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
+            metadata["implicit_measurement"] = False
+            return SimulationResult(
+                counts=Counts({}),
+                statevector=Statevector(circuit.num_qubits) if return_statevector else None,
+                shots=shots,
+                seed=seed,
+                metadata=metadata,
+            )
+        noise = self._active_noise()
         program = compile_trajectory_program_cached(circuit, noise)
         if self.verify_compiled:
             self._verify_compiled_artifacts(circuit, program)
@@ -1528,65 +1265,95 @@ class StatevectorSimulator:
                     # Collapse onto the sampled outcome for the documented
                     # "final_trajectory" statevector contract; the implicit
                     # sample never collapses (pre-measurement contract).
-                    self._collapse_terminal(state, program.terminal.pairs, index)
+                    _collapse_terminal(state, program.terminal.pairs, index)
             samples.append("".join(clbits))
             final_state = state
-        extra["implicit_measurement"] = implicit
-        extra["compiled_steps"] = len(program.steps)
-        return Counts.from_samples(samples), final_state, extra
+        if implicit:
+            metadata["statevector_kind"] = "pre_measurement"
+        metadata["implicit_measurement"] = implicit
+        metadata["compiled_steps"] = len(program.steps)
+        return SimulationResult(
+            counts=Counts.from_samples(samples),
+            statevector=final_state if return_statevector else None,
+            shots=shots,
+            seed=seed,
+            metadata=metadata,
+        )
 
 
-def execute_program_chunk(
-    program,
-    batch_size: int,
-    rng: np.random.Generator,
+class _ChunkedEngine(NamedTuple):
+    """What the shared chunk plan needs from one chunked engine for one run."""
+
+    #: The compiled program (``steps`` and ``terminal`` are read).
+    program: object
+    #: Working-set bytes of one trajectory; ``max_batch_memory`` over this
+    #: is the chunk (and super-chunk) capacity in shots.
+    bytes_per_shot: int
+    #: Thread executor: ``run_segments(segments)`` -> bit rows.
+    run_segments: Callable
+    #: Process executor: the procpool segment-runner name and its arguments.
+    worker: Tuple[str, tuple]
+
+
+def run_super_chunk(
+    run_segments,
+    chunk_id: int,
+    segs: Sequence[tuple],
     *,
-    noise_model: Optional[NoiseModel],
-    dtype,
-    gemm_threshold,
-) -> Tuple[np.ndarray, "object", Optional[int]]:
-    """Advance one chunk of trajectories through a compiled program.
+    final_state: bool = False,
+    fault_plan=None,
+    attempt: int = 0,
+    executor: str = "thread",
+) -> Tuple[List[tuple], Optional[Statevector]]:
+    """Execute one super-chunk of a plan and slice its rows back per segment.
 
-    Module-level rather than a simulator method so the thread executor and
-    the process-pool workers (:mod:`~repro.simulators.gate.procpool`) run the
-    *same* chunk code: given the same program, chunk size and RNG stream the
-    two executors are bit-identical by construction, not by parallel
-    maintenance of two code paths.  Returns the chunk's classical-bit rows,
-    the final :class:`~repro.simulators.gate.batched.BatchedStatevector`
-    (pre terminal collapse), and the last trajectory's sampled terminal
-    index (``None`` without a terminal block).
+    The one chunk step both executors run: the thread executor calls it
+    directly and the process-pool workers
+    (:mod:`~repro.simulators.gate.procpool`) call it inside their task, so
+    given the same plan the two are bit-identical by construction.  *segs*
+    lists the super-chunk's ``(job, chunk_id, size, stream)`` segments; each
+    segment's generator is rebuilt here from its ``SeedSequence`` stream.  A
+    scheduled fault fires first, keyed on ``(chunk_id, attempt)``.
+
+    Returns ``(rows, state)``: one ``(job, chunk_id, bits)`` row per segment
+    and, with *final_state*, the super-chunk's last trajectory state from
+    *run_segments* (else ``None``).
     """
-    from .batched import BatchedStatevector  # local import: cycle with batched.py
-    from .fusion import GateStep, MeasureStep, ResetStep
+    if fault_plan is not None:
+        fault_plan.fire(chunk_id, attempt, executor=executor)
+    segments = [(size, np.random.default_rng(stream)) for _, _, size, stream in segs]
+    state = None
+    if final_state:
+        bits, state = run_segments(segments, final_state=True)
+    else:
+        bits = run_segments(segments)
+    rows = []
+    offset = 0
+    for job, segment_chunk, size, _ in segs:
+        rows.append((job, segment_chunk, bits[offset : offset + size]))
+        offset += size
+    return rows, state
 
-    state = BatchedStatevector(program.num_qubits, batch_size, dtype=np.dtype(dtype))
-    noise = noise_model
-    bits = np.zeros((batch_size, program.bits_width), dtype=np.uint8)
-    for step in program.steps:
-        if isinstance(step, GateStep):
-            state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
-            if step.noise:
-                state.apply_noise_events(
-                    step.noise, rng, gemm_threshold=gemm_threshold
-                )
-        elif isinstance(step, MeasureStep):
-            outcomes = state.measure(step.qubit, rng)
-            if noise is not None:
-                outcomes = noise.apply_readout_error_batched(outcomes, rng)
-            bits[:, step.clbit] = outcomes
-        elif isinstance(step, ResetStep):
-            state.reset(step.qubit, rng)
-    last_index: Optional[int] = None
-    if program.terminal is not None:
-        indices = state.sample_all(rng)
-        last_index = int(indices[-1])
-        n = program.num_qubits
-        for qubit, clbit in program.terminal.pairs:
-            column = ((indices >> (n - 1 - qubit)) & 1).astype(np.uint8)
-            if noise is not None and not program.terminal.implicit:
-                column = noise.apply_readout_error_batched(column, rng)
-            bits[:, clbit] = column
-    return bits, state, last_index
+
+def _collapse_terminal(
+    state: Statevector, pairs: Tuple[Tuple[int, int], ...], index: int
+) -> None:
+    """Project *state* onto the sampled outcomes of the terminal measures.
+
+    Keeps the ``"final_trajectory"`` statevector contract aligned between
+    the batched engine and the reference engine, which collapses each
+    measured qubit in turn.
+    """
+    n = state.num_qubits
+    for qubit, _ in pairs:
+        bit = (index >> (n - 1 - qubit)) & 1
+        projector = [slice(None)] * n
+        projector[qubit] = 1 - bit
+        state._tensor[tuple(projector)] = 0.0
+    norm = np.linalg.norm(state.data)
+    if norm == 0:
+        raise SimulationError("terminal collapse produced a zero-norm state")
+    state._tensor /= norm
 
 
 def execute_program_segments(
@@ -1596,23 +1363,26 @@ def execute_program_segments(
     noise_model: Optional[NoiseModel],
     dtype,
     gemm_threshold,
-) -> np.ndarray:
-    """Advance one merged super-chunk: several jobs' chunks on one batch axis.
+    final_state: bool = False,
+):
+    """Advance one super-chunk of trajectories through a compiled program.
 
-    *segments* is a sequence of ``(size, generator)`` pairs partitioning the
-    batch axis; each pair is one standalone chunk of one job, carrying that
-    chunk's own ``SeedSequence``-spawned generator.  The shared tensor
-    evolution is per-column pure (dense broadcast GEMMs produce bit-identical
-    columns at every batch width >= 2 — callers must keep width-1 chunks out
-    of merged runs), and every random draw (noise events, mid-circuit
+    The batched engine's only chunk runner.  *segments* is a sequence of
+    ``(size, generator)`` pairs partitioning the batch axis; each pair is one
+    standalone chunk of one job, carrying that chunk's own
+    ``SeedSequence``-spawned generator — a solo run's super-chunk is exactly
+    one of its chunks.  The shared tensor evolution is per-column pure
+    (dense broadcast GEMMs produce bit-identical columns at every batch
+    width >= 2 — callers must keep width-1 chunks out of shared
+    super-chunks), and every random draw (noise events, mid-circuit
     measurements, terminal sampling, readout flips) is pulled per segment in
     standalone order and size.  Slicing the returned rows back per segment
     therefore reproduces each job's solo chunk bit for bit.
 
-    Module-level for the same reason as :func:`execute_program_chunk`: the
-    thread executor and the process-pool workers run the *same* merged-chunk
-    code.  Returns only the concatenated ``(sum(sizes), bits_width)``
-    classical-bit rows — merged runs carry no statevector.
+    Returns the concatenated ``(sum(sizes), bits_width)`` classical-bit rows.
+    With *final_state* it returns ``(bits, state)`` instead: *state* is the
+    last trajectory's final :class:`Statevector`, projected onto its sampled
+    terminal outcomes (implicit terminal sampling never collapses).
     """
     from .batched import BatchedStatevector  # local import: cycle with batched.py
     from .fusion import GateStep, MeasureStep, ResetStep
@@ -1635,12 +1405,18 @@ def execute_program_segments(
             bits[:, step.clbit] = outcomes
         elif isinstance(step, ResetStep):
             state.reset(step.qubit, None, segments=segments)
-    if program.terminal is not None:
+    terminal = program.terminal
+    if terminal is not None:
         indices = state.sample_all(None, segments=segments)
         n = program.num_qubits
-        for qubit, clbit in program.terminal.pairs:
+        for qubit, clbit in terminal.pairs:
             column = ((indices >> (n - 1 - qubit)) & 1).astype(np.uint8)
-            if noise is not None and not program.terminal.implicit:
+            if noise is not None and not terminal.implicit:
                 column = noise.apply_readout_error_segmented(column, segments)
             bits[:, clbit] = column
-    return bits
+    if not final_state:
+        return bits
+    last = state.extract(-1)
+    if terminal is not None and not terminal.implicit:
+        _collapse_terminal(last, terminal.pairs, int(indices[-1]))
+    return bits, last

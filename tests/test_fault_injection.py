@@ -311,24 +311,6 @@ def test_growth_does_not_strand_inflight_lease(process_pool):
     procpool.shutdown_worker_pool()
 
 
-def test_legacy_get_worker_pool_contract(process_pool):
-    from repro.simulators.gate.procpool import (
-        get_worker_pool,
-        shutdown_worker_pool,
-        worker_pool_info,
-    )
-
-    shutdown_worker_pool()
-    pool2 = get_worker_pool(2)
-    assert worker_pool_info() == {"workers": 2, "started": 1}
-    assert get_worker_pool(1) is pool2  # smaller request reuses the warm pool
-    pool4 = get_worker_pool(4)
-    assert pool4 is not pool2
-    assert worker_pool_info()["workers"] == 4
-    shutdown_worker_pool()
-    assert worker_pool_info() == {"workers": 0, "started": 0}
-
-
 # -- seeded chaos sweep (slow lane) -------------------------------------------------
 
 @pytest.mark.slow

@@ -12,11 +12,14 @@ the merged run happens per segment, in standalone order and size.
 The matrix covers both trajectory engines (batched amplitudes and the
 stabilizer tableau), group sizes {2, 4, 8}, worker counts {1, 2}, and both
 the thread and process chunk executors, plus the exact (noiseless) path, the
-batch-width-1 GEMM guard, and worker-crash recovery mid-merge.
+batch-width-1 GEMM guard, and worker-crash recovery mid-merge.  A seeded
+Hypothesis property extends it to random groups: sizes 1-5, zero- and
+one-shot members, and random byte budgets.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulators.gate import Circuit, NoiseModel, StatevectorSimulator
 from repro.simulators.gate.faults import FaultEvent, FaultPlan
@@ -197,3 +200,52 @@ def test_killed_worker_mid_merge_recovers_bit_identical(engine, process_pool):
     recovery = merged[0].metadata["executor_recovery"]
     assert recovery["pool_rebuilds"] == 1
     assert recovery["groups_redispatched"] >= 1
+
+
+# -- property: random groups, merged == solo -----------------------------------------
+
+def exact_circuit():
+    circuit = Circuit(4, 4)
+    for q in range(4):
+        circuit.h(q)
+    circuit.cx(0, 1)
+    for q in range(4):
+        circuit.measure(q, q)
+    return circuit
+
+
+#: path -> (circuit, simulator kwargs, working-set bytes of one shot).  The
+#: byte figure turns a drawn chunk width into a ``max_batch_memory``: a
+#: 5-qubit complex64 trajectory is state + scratch = 2 x 8 x 32 bytes, an
+#: 8-qubit tableau shot is 2 x 8 phase bytes + 8 outcome bytes.
+PROPERTY_PATHS = {
+    "batched": (noisy_circuit(), dict(noise_model=NOISE), 512),
+    "stabilizer": (
+        clifford_circuit(),
+        dict(noise_model=NOISE, trajectory_engine="stabilizer"),
+        24,
+    ),
+    "exact": (exact_circuit(), {}, 512),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PROPERTY_PATHS))
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=5,
+    ),
+    chunk_shots=st.one_of(st.none(), st.integers(1, 320)),
+)
+def test_random_groups_merge_bit_identical_to_solo(path, specs, chunk_shots):
+    circuit, kwargs, bytes_per_shot = PROPERTY_PATHS[path]
+    budget = None if chunk_shots is None else chunk_shots * bytes_per_shot
+    simulator = StatevectorSimulator(max_batch_memory=budget, **kwargs)
+    merged = simulator.run_merged(circuit, specs)
+    assert len(merged) == len(specs)
+    for one, (shots, seed) in zip(merged, specs):
+        alone = simulator.run(circuit, shots=shots, seed=seed)
+        assert dict(one.counts) == dict(alone.counts)
+        assert one.counts.shots == shots

@@ -384,17 +384,25 @@ def test_backend_wires_trajectory_executor(process_pool):
 
 def test_worker_pool_is_persistent_and_grow_only(process_pool):
     from repro.simulators.gate.procpool import (
-        get_worker_pool,
+        _acquire_pool,
+        _release_pool,
         shutdown_worker_pool,
         worker_pool_info,
     )
 
+    def lease(workers):
+        handle = _acquire_pool(workers)
+        _release_pool(handle)
+        return handle.executor
+
     shutdown_worker_pool()
-    pool2 = get_worker_pool(2)
+    pool2 = lease(2)
     assert worker_pool_info() == {"workers": 2, "started": 1}
     # Smaller request reuses the warm pool; larger request grows it.
-    assert get_worker_pool(1) is pool2
+    assert lease(1) is pool2
     assert worker_pool_info()["workers"] == 2
-    pool4 = get_worker_pool(4)
+    pool4 = lease(4)
     assert pool4 is not pool2
     assert worker_pool_info()["workers"] == 4
+    shutdown_worker_pool()
+    assert worker_pool_info() == {"workers": 0, "started": 0}
