@@ -6,11 +6,17 @@ overhead — packaging with full validation vs. packaging with validation
 switched off vs. constructing the raw BQM directly — for growing problem
 sizes.  The expected shape: validation costs a small constant factor
 (milliseconds), negligible against any execution backend.
+
+Successful bundle validations are memoised by document content, and every
+round here packages the same document (the provenance timestamp has
+one-second resolution), so the "with validation" callable clears the memo
+first: it times a full validation, not a memo hit.
 """
 
 import pytest
 
 from repro.core import package
+from repro.core.bundle import clear_validation_memo
 from repro.oplib import ising_problem_operator
 from repro.problems import MaxCutProblem, random_graph
 from repro.simulators.anneal import BinaryQuadraticModel
@@ -30,6 +36,7 @@ def test_packaging_with_validation(benchmark, nodes):
         qdt = maxcut_register(problem)
         h, edges, weights, constant = problem.to_ising()
         op = ising_problem_operator(qdt, h=h, edges=edges, weights=weights, constant=constant)
+        clear_validation_memo()
         return package(qdt, [op], context, name=f"n{nodes}", validate=True)
 
     bundle = benchmark(run)

@@ -10,11 +10,12 @@ to a different backend unchanged.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.bundle import JobBundle
 from ..core.errors import CapabilityError, DecodingError
+from ..core.qdt import QuantumDataType
 from ..core.qod import QuantumOperatorDescriptor
 from ..core.result_schema import ResultSchema
 from ..results.counts import Counts
@@ -26,7 +27,12 @@ __all__ = ["ExecutionResult", "Backend"]
 
 @dataclass
 class ExecutionResult:
-    """Everything a backend reports back for one submitted bundle."""
+    """Everything a backend reports back for one submitted bundle.
+
+    A backend passes the submitted bundle as ``_bundle=``; the result keeps
+    only its register table (``_qdts``), which is all :meth:`decoded` reads,
+    so a held result does not pin the bundle's operators and context.
+    """
 
     backend_name: str
     engine: str
@@ -35,7 +41,12 @@ class ExecutionResult:
     result_schemas: List[Tuple[ResultSchema, int]] = field(default_factory=list)
     bundle_digest: str = ""
     metadata: Dict[str, Any] = field(default_factory=dict)
-    _bundle: Optional[JobBundle] = None
+    _bundle: InitVar[Optional[JobBundle]] = None
+    _qdts: Optional[Dict[str, QuantumDataType]] = field(default=None, repr=False)
+
+    def __post_init__(self, _bundle: Optional[JobBundle]) -> None:
+        if _bundle is not None:
+            self._qdts = dict(_bundle.qdts)
 
     # -- decoding -----------------------------------------------------------------
     def decoded(self, schema_index: int = 0) -> DecodedResult:
@@ -45,7 +56,7 @@ class ExecutionResult:
         by the backend; the block is marginalised out of the joint counts
         before decoding.
         """
-        if self._bundle is None:
+        if self._qdts is None:
             raise DecodingError("execution result carries no bundle for decoding")
         if self.counts is None:
             raise DecodingError("execution result has no counts to decode")
@@ -61,7 +72,7 @@ class ExecutionResult:
         counts = self.counts
         if counts.num_clbits != schema.num_clbits:
             counts = counts.marginal(list(range(offset, offset + schema.num_clbits)))
-        return decode_counts(counts, schema, self._bundle.qdts)
+        return decode_counts(counts, schema, self._qdts)
 
     def expectation(self, value_fn=None, *, register: Optional[str] = None) -> float:
         """Probability-weighted expectation of the decoded values."""

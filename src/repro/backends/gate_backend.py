@@ -401,6 +401,8 @@ class GateBackend(Backend):
             if op.result_schema is not None and op.name in allocation.clbit_offsets
         ]
         counts: Counts = simulation.counts
+        # The transpiler measured both circuits already (``_finish_result``).
+        metrics = transpiled.metrics
         return ExecutionResult(
             backend_name=self.name,
             engine=exec_policy.engine,
@@ -411,11 +413,11 @@ class GateBackend(Backend):
                 "shots": exec_policy.samples,
                 "seed": exec_policy.seed,
                 "num_qubits": circuit.num_qubits,
-                "lowered_depth": circuit.depth(),
-                "lowered_twoq": circuit.num_twoq_gates(),
-                "transpiled_depth": transpiled.circuit.depth(),
-                "transpiled_twoq": transpiled.circuit.num_twoq_gates(),
-                "transpile_metrics": dict(transpiled.metrics),
+                "lowered_depth": int(metrics["original_depth"]),
+                "lowered_twoq": int(metrics["original_twoq"]),
+                "transpiled_depth": int(metrics["depth"]),
+                "transpiled_twoq": int(metrics["twoq"]),
+                "transpile_metrics": dict(metrics),
                 "simulation_method": simulation.metadata.get("method"),
                 "trajectory_engine": simulation.metadata.get("trajectory_engine"),
                 "trajectory_executor": simulation.metadata.get("trajectory_executor"),

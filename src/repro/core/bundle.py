@@ -9,19 +9,64 @@ bundle and return results; nothing else crosses the boundary.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .context import ContextDescriptor
 from .errors import PackagingError
+from .lru import BoundedLRU
 from .provenance import Provenance, build_provenance
 from .qdt import QuantumDataType
 from .qod import OperatorSequence, QuantumOperatorDescriptor
+from .registry import register_change_hook
 from .schemas import JOB_SCHEMA_ID, validate_document
 from .serialization import digest, load_json, save_json
 from .validation import ValidationReport, verify
 
-__all__ = ["JobBundle", "package"]
+__all__ = ["JobBundle", "package", "clear_validation_memo"]
+
+#: Entry bound of the validation memo (a constant, not a knob).
+VALIDATION_MEMO_SIZE = 1024
+
+# Successful bundle validations, keyed by the validated document.  A re-
+# validation of an unchanged bundle (``submit()`` after ``package()``, or
+# serving admission) then costs one digest.  Failures are never stored.
+_VALIDATED = BoundedLRU(VALIDATION_MEMO_SIZE)
+
+
+def clear_validation_memo() -> None:
+    """Forget every memoised bundle validation (and reset its counters)."""
+    _VALIDATED.clear()
+
+
+# Validity depends on the rep_kind registry (required params, measurement
+# rules), so a registration invalidates every memoised verdict.
+register_change_hook(clear_validation_memo)
+
+
+def _memo_key(qdts: Mapping[str, QuantumDataType], doc: Mapping[str, Any]) -> Optional[Tuple]:
+    """The memo key of a bundle document, or ``None`` when it cannot be memoised.
+
+    The key is a SHA-256 of the document's canonical JSON plus the register
+    table's keys (which the document omits but :func:`check_registers
+    <repro.core.validation.check_registers>` compares with the ids).  A
+    string ``name`` is left out: the schema asks only for a string and no
+    semantic check reads it, so a renamed copy of a validated bundle (a
+    sweep's members, a resubmission under a fresh name) is just as valid.
+    Only native JSON values are accepted: the repository's
+    :func:`~repro.core.serialization.digest` renders numpy scalars as plain
+    numbers, and the schema tells ``int`` from ``numpy.int64``, so such a
+    document would share a key with a differently valid one.
+    """
+    if isinstance(doc.get("name"), str):
+        doc = {key: value for key, value in doc.items() if key != "name"}
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    except TypeError:
+        return None
+    return (tuple(qdts), hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 @dataclass
@@ -73,9 +118,22 @@ class JobBundle:
         return verify(self.qdts, self.operators, self.context)
 
     def validate(self) -> None:
-        """Schema + semantic validation; raises on the first error."""
-        validate_document(self.to_dict(), JOB_SCHEMA_ID)
-        self.verify().raise_if_failed()
+        """Schema + semantic validation; raises on the first error.
+
+        One schema walk of the whole ``job.json`` (it inlines the register,
+        operator and context schemas), then the semantic checks alone.  A
+        successful validation is memoised by document content, so validating
+        an unchanged bundle again costs one digest; any change to the bundle
+        changes the key and is validated afresh.
+        """
+        doc = self.to_dict()
+        key = _memo_key(self.qdts, doc)
+        if key is not None and _VALIDATED.lookup(key):
+            return
+        validate_document(doc, JOB_SCHEMA_ID)
+        verify(self.qdts, self.operators, self.context, schema=False).raise_if_failed()
+        if key is not None:
+            _VALIDATED.store(key, True)
 
     # -- serialization -------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

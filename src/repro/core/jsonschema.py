@@ -21,7 +21,8 @@ descriptor on every packaging step (the overhead is measured by the
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from .errors import SchemaValidationError
 

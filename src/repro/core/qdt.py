@@ -101,6 +101,11 @@ def _parse_fraction(value: Union[str, Fraction, float, int, None]) -> Optional[F
     return Fraction(value).limit_denominator(1 << 62)
 
 
+_BINARY_DIGITS = frozenset("01")
+#: Spin of a measured bit (``0 -> +1``, ``1 -> -1``).
+_SPIN_OF_BIT = {"0": 1, "1": -1}
+
+
 @dataclass
 class QuantumDataType:
     """Declarative description of what a quantum register means.
@@ -233,7 +238,7 @@ class QuantumDataType:
 
     # -- value <-> bitstring mapping ----------------------------------------
     def _check_bits(self, bits: str) -> str:
-        if len(bits) != self.width or any(c not in "01" for c in bits):
+        if len(bits) != self.width or not _BINARY_DIGITS.issuperset(bits):
             raise DescriptorError(
                 f"QDT {self.id!r}: bitstring {bits!r} is not a width-{self.width} binary string"
             )
@@ -243,7 +248,7 @@ class QuantumDataType:
         """Map a register-order bitstring to the basis-state index it denotes."""
         self._check_bits(bits)
         if self.bit_order is BitOrder.LSB_0:
-            return sum(1 << i for i, c in enumerate(bits) if c == "1")
+            return int("".join(reversed(bits)), 2)
         return int(bits, 2)
 
     def index_to_bits(self, index: int) -> str:
@@ -276,9 +281,9 @@ class QuantumDataType:
                 value -= self.num_states
             return value
         if sem is MeasurementSemantics.AS_BOOL:
-            return tuple(int(c) for c in bits)
+            return tuple(map(int, bits))
         if sem is MeasurementSemantics.AS_SPIN:
-            return tuple(1 - 2 * int(c) for c in bits)
+            return tuple(map(_SPIN_OF_BIT.__getitem__, bits))
         if sem is MeasurementSemantics.AS_PHASE:
             scale = self.phase_scale or Fraction(1, self.num_states)
             return self.bits_to_index(bits) * scale

@@ -176,6 +176,14 @@ class QuantumOperatorDescriptor:
     def validate(self, qdts: Optional[Mapping[str, QuantumDataType]] = None) -> None:
         """Schema-validate the descriptor and optionally cross-check registers."""
         validate_document(self.to_dict(), QOD_SCHEMA_ID)
+        self.check_semantics(qdts)
+
+    def check_semantics(self, qdts: Optional[Mapping[str, QuantumDataType]] = None) -> None:
+        """:meth:`validate` without the schema walk.
+
+        For callers that already validated a document embedding this
+        descriptor (a bundle's ``job.json`` inlines the operator schema).
+        """
         missing = self.missing_params()
         if missing:
             raise DescriptorError(
@@ -322,9 +330,16 @@ class OperatorSequence:
         * measuring operators carry a result schema,
         * unitary templates marked in-place have identical domain/codomain.
         """
+        self._check(qdts, QuantumOperatorDescriptor.validate)
+
+    def check_semantics(self, qdts: Mapping[str, QuantumDataType]) -> None:
+        """:meth:`validate` without the per-operator schema walks."""
+        self._check(qdts, QuantumOperatorDescriptor.check_semantics)
+
+    def _check(self, qdts: Mapping[str, QuantumDataType], check_operator) -> None:
         measured: set[str] = set()
         for position, op in enumerate(self._operators):
-            op.validate(qdts)
+            check_operator(op, qdts)
             for reg in op.registers:
                 if reg in measured and not op.is_measurement:
                     raise CompatibilityError(

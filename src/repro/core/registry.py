@@ -18,13 +18,14 @@ makes the descriptors technology-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import DescriptorError
 
 __all__ = [
     "RepKindInfo",
     "register_rep_kind",
+    "register_change_hook",
     "get_rep_kind",
     "has_rep_kind",
     "list_rep_kinds",
@@ -49,6 +50,16 @@ class RepKindInfo:
 
 _REGISTRY: Dict[str, RepKindInfo] = {}
 
+# Higher layers memoise verdicts that depend on this registry (the bundle
+# validation memo); they register their clear functions here so a new or
+# replaced kind cannot leave a stale verdict behind.
+_CHANGE_HOOKS: List[Callable[[], None]] = []
+
+
+def register_change_hook(hook: Callable[[], None]) -> None:
+    """Register a zero-argument callable run whenever a rep_kind is registered."""
+    _CHANGE_HOOKS.append(hook)
+
 
 def register_rep_kind(info: RepKindInfo, *, replace: bool = False) -> RepKindInfo:
     """Add *info* to the global registry.
@@ -59,6 +70,8 @@ def register_rep_kind(info: RepKindInfo, *, replace: bool = False) -> RepKindInf
     if info.name in _REGISTRY and not replace:
         raise DescriptorError(f"rep_kind {info.name!r} already registered")
     _REGISTRY[info.name] = info
+    for hook in _CHANGE_HOOKS:
+        hook()
     return info
 
 

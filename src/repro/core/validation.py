@@ -11,6 +11,11 @@ Two styles are offered:
 * ``check_*`` functions raise on the first problem — for library code.
 * :func:`verify` returns a :class:`ValidationReport` collecting every issue —
   for tooling and tests that want the full picture.
+
+Each check also schema-validates the descriptors it inspects.  A caller that
+has already validated a document embedding them — :meth:`JobBundle.validate
+<repro.core.bundle.JobBundle.validate>` walks the whole ``job.json`` once —
+passes ``schema=False`` to run the semantic checks alone.
 """
 
 from __future__ import annotations
@@ -80,19 +85,23 @@ class ValidationReport:
 
 # -- raising checks -----------------------------------------------------------
 
-def check_registers(qdts: Mapping[str, QuantumDataType]) -> None:
+def check_registers(qdts: Mapping[str, QuantumDataType], *, schema: bool = True) -> None:
     """Check the register table itself: unique ids matching their keys."""
     for key, qdt in qdts.items():
         if key != qdt.id:
             raise DescriptorError(f"register table key {key!r} != descriptor id {qdt.id!r}")
-        qdt.validate()
+        if schema:
+            qdt.validate()
 
 
 def check_operator(
-    op: QuantumOperatorDescriptor, qdts: Mapping[str, QuantumDataType]
+    op: QuantumOperatorDescriptor,
+    qdts: Mapping[str, QuantumDataType],
+    *,
+    schema: bool = True,
 ) -> None:
     """Check a single operator against the declared registers."""
-    op.validate(qdts)
+    (op.validate if schema else op.check_semantics)(qdts)
     # Width-sensitive parameter checks for the standard optimisation kinds.
     if op.rep_kind in ("ISING_COST_PHASE", "ISING_PROBLEM", "ISING_EVOLUTION"):
         width = qdts[op.primary_register].width
@@ -149,6 +158,8 @@ def check_context(
     context: Optional[ContextDescriptor],
     operators: Iterable[QuantumOperatorDescriptor],
     qdts: Mapping[str, QuantumDataType],
+    *,
+    schema: bool = True,
 ) -> None:
     """Check that the execution context can, in principle, serve the operators.
 
@@ -158,7 +169,8 @@ def check_context(
     """
     if context is None:
         return
-    context.validate()
+    if schema:
+        context.validate()
     ops = list(operators)
     kinds = {op.rep_kind for op in ops}
     family = context.exec.engine_family
@@ -192,34 +204,38 @@ def verify(
     qdts: Mapping[str, QuantumDataType],
     operators: Iterable[QuantumOperatorDescriptor],
     context: Optional[ContextDescriptor] = None,
+    *,
+    schema: bool = True,
 ) -> ValidationReport:
     """Run every check, collecting issues instead of raising.
 
     Returns a :class:`ValidationReport`; call ``report.raise_if_failed()`` to
-    convert it back into an exception.
+    convert it back into an exception.  ``schema=False`` skips the
+    per-descriptor schema walks (see the module docstring).
     """
     report = ValidationReport()
     ops = list(operators)
 
     try:
-        check_registers(qdts)
+        check_registers(qdts, schema=schema)
     except Exception as exc:  # noqa: BLE001 - collected into the report
         report.add_error("registers", str(exc))
         return report
 
     for index, op in enumerate(ops):
         try:
-            check_operator(op, qdts)
+            check_operator(op, qdts, schema=schema)
         except Exception as exc:  # noqa: BLE001
             report.add_error(f"operators[{index}] ({op.name})", str(exc))
 
+    sequence = OperatorSequence(ops)
     try:
-        OperatorSequence(ops).validate(qdts)
+        (sequence.validate if schema else sequence.check_semantics)(qdts)
     except Exception as exc:  # noqa: BLE001
         report.add_error("sequence", str(exc))
 
     try:
-        check_context(context, ops, qdts)
+        check_context(context, ops, qdts, schema=schema)
     except Exception as exc:  # noqa: BLE001
         report.add_error("context", str(exc))
 

@@ -74,6 +74,10 @@ class Counts(Mapping[str, int]):
     def __len__(self) -> int:
         return len(self._data)
 
+    def items(self):
+        """``(bitstring, count)`` pairs (the dict view; no per-key lookup)."""
+        return self._data.items()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         head = dict(self.most_common(4))
         return f"Counts(shots={self.shots}, top={head})"

@@ -12,11 +12,12 @@ no guessing about endianness or number representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..core.errors import DecodingError
+from ..core.errors import DecodingError, DescriptorError
 from ..core.qdt import QuantumDataType
-from ..core.result_schema import ResultSchema
+from ..core.result_schema import ClbitRef, ResultSchema
 from .counts import Counts
 
 __all__ = ["DecodedOutcome", "RegisterDecoding", "DecodedResult", "decode_counts"]
@@ -26,10 +27,18 @@ __all__ = ["DecodedOutcome", "RegisterDecoding", "DecodedResult", "decode_counts
 class DecodedOutcome:
     """One decoded outcome of one register."""
 
+    # Explicit slots (not ``dataclass(slots=True)``, which needs Python 3.10):
+    # a decoded result holds one outcome per distinct bitstring.
+    __slots__ = ("value", "bits", "count", "probability")
+
     value: Any
     bits: str
     count: int
     probability: float
+
+    def __reduce__(self):
+        # Frozen slots cannot be restored through the default setattr path.
+        return (DecodedOutcome, (self.value, self.bits, self.count, self.probability))
 
 
 @dataclass
@@ -94,6 +103,26 @@ def decode_bits_for(qdt: QuantumDataType, register_bits: str) -> Any:
     return qdt.decode_bits(register_bits)
 
 
+def _gather(refs: List[ClbitRef], qdt: QuantumDataType) -> Optional[Callable[[str], Any]]:
+    """Picker of *qdt*'s carriers from a padded raw string; ``None`` for the identity.
+
+    Carrier ``k`` of the register-order string is clbit ``gather[k]`` of the
+    raw string; an unmeasured carrier points one past the last clbit, where
+    the caller appends a ``'0'``.  When the register owns every clbit in
+    carrier order the raw string already is the register string.  Mirrors
+    :meth:`ResultSchema.register_bits`, including a later clbit overriding an
+    earlier one on the same carrier.  The references were checked against
+    the register width by ``validate_against``.
+    """
+    gather = [len(refs)] * qdt.width
+    for clbit, ref in enumerate(refs):
+        if ref.register == qdt.id:
+            gather[ref.index] = clbit
+    if gather == list(range(len(refs))):
+        return None
+    return itemgetter(*gather)
+
+
 def decode_counts(
     counts: Counts,
     schema: ResultSchema,
@@ -105,7 +134,8 @@ def decode_counts(
     are gathered into a register-order bitstring and decoded according to the
     register's measurement semantics.  Registers are decoded independently
     (marginal statistics); the raw joint histogram is preserved on the result
-    for callers that need correlations.
+    for callers that need correlations.  The clbit-to-carrier gather is built
+    once per register, not once per bitstring.
     """
     if counts.num_clbits and counts.num_clbits != schema.num_clbits:
         raise DecodingError(
@@ -113,15 +143,24 @@ def decode_counts(
             f"{schema.num_clbits}"
         )
     schema.validate_against(qdts)
+    refs = schema.references()
 
     result = DecodedResult(raw_counts=counts)
     total = counts.shots
-    for register_id in schema.registers():
+    num_clbits = schema.num_clbits
+    registers = list(dict.fromkeys(ref.register for ref in refs))
+    for register_id in registers:
         qdt = qdts[register_id]
+        pick = _gather(refs, qdt)
         per_bits: Dict[str, int] = {}
         for bitstring, count in counts.items():
-            register_bits = schema.register_bits(bitstring, qdt)
-            per_bits[register_bits] = per_bits.get(register_bits, 0) + count
+            if len(bitstring) != num_clbits:
+                raise DescriptorError(
+                    f"bitstring length {len(bitstring)} != num_clbits {num_clbits}"
+                )
+            if pick is not None:
+                bitstring = "".join(pick(bitstring + "0"))
+            per_bits[bitstring] = per_bits.get(bitstring, 0) + count
         outcomes = [
             DecodedOutcome(
                 value=qdt.decode_bits(bits),

@@ -89,8 +89,10 @@ from ..backends.runtime import submit as runtime_submit
 from ..backends.runtime import submit_merged as runtime_submit_merged
 from ..core.bundle import JobBundle
 from ..core.errors import (
+    CompatibilityError,
     DeadlineExceededError,
     QueueFullError,
+    SchemaValidationError,
     ServiceError,
     is_pool_breakage,
     is_transient_error,
@@ -230,6 +232,35 @@ class JobTicket:
         if cancelled and self._service is not None:
             self._service._note_cancelled(self)
         return cancelled
+
+
+def _release(ticket: JobTicket) -> None:
+    """Drop a settled ticket's bundle and lowering artifact.
+
+    The service keeps every ticket for :meth:`JobService.drain`, so a
+    finished ticket must not pin them; retries, recovery and degradation
+    read them only before the terminal state.
+    """
+    ticket._bundle = None
+    ticket._lowered = None
+
+
+def _resolve(
+    ticket: JobTicket,
+    result: Optional[ExecutionResult] = None,
+    *,
+    error: Optional[BaseException] = None,
+) -> None:
+    """Give the ticket its terminal outcome, releasing its artifacts first.
+
+    Released before the future resolves, so a caller woken by
+    :meth:`JobTicket.result` never sees them.
+    """
+    _release(ticket)
+    if error is not None:
+        ticket._future.set_exception(error)
+    else:
+        ticket._future.set_result(result)
 
 
 class JobService:
@@ -380,9 +411,11 @@ class JobService:
         Raises :class:`ServiceError` synchronously when no registered
         engine can execute the bundle, when the bundle has no execution
         context, when its name is already queued or running, or when the
-        service is closed — and :class:`QueueFullError` (a
+        service is closed — :class:`QueueFullError` (a
         :class:`ServiceError`) when ``max_pending`` live jobs are already
-        in flight.
+        in flight — and the error :meth:`JobBundle.validate
+        <repro.core.bundle.JobBundle.validate>` raises for an invalid
+        bundle, as :func:`~repro.backends.runtime.submit` does.
         """
         bundle = self._admit(bundle)
         engine, estimate = self._scheduler.choose_engine(bundle)
@@ -430,7 +463,15 @@ class JobService:
         return tickets
 
     def _admit(self, bundle: JobBundle) -> JobBundle:
-        """Pre-queue checks plus the service-wide exec-option merge."""
+        """Pre-queue checks plus the service-wide exec-option merge.
+
+        The bundle is validated here, as :func:`~repro.backends.runtime.submit`
+        would, so an invalid bundle fails synchronously with the same error
+        (counted under ``rejected``) instead of failing its ticket later; the
+        lanes then run it with ``validate=False``.  For a bundle that
+        :func:`~repro.core.bundle.package` already validated this is one
+        digest (the validation memo).
+        """
         if self._closed:
             raise ServiceError("job service is closed")
         if bundle.context is None:
@@ -438,6 +479,12 @@ class JobService:
                 f"bundle {bundle.name!r} has no execution context; the serving "
                 "queue requires an explicit exec policy"
             )
+        try:
+            bundle.validate()
+        except (SchemaValidationError, CompatibilityError):
+            with self._stats_lock:
+                self._stats["rejected"] += 1
+            raise
         if self._exec_options:
             exec_policy = replace(
                 bundle.context.exec,
@@ -598,16 +645,16 @@ class JobService:
 
     def _merge_key_for(self, ticket: JobTicket) -> Optional[Any]:
         """The ticket's merge-eligibility key, or ``None`` to force solo."""
-        bundle = ticket._bundle
+        bundle, lowered = ticket._bundle, ticket._lowered
+        if bundle is None or lowered is None:
+            return None  # no lowering, or cancelled (artifacts released)
         if not bundle.context.exec.options.get("coalesce_merge", True):
-            return None
-        if ticket._lowered is None:
             return None
         merge_key = getattr(get_backend(ticket.engine), "merge_key", None)
         if merge_key is None:
             return None
         try:
-            return (ticket.engine, merge_key(bundle, ticket._lowered))
+            return (ticket.engine, merge_key(bundle, lowered))
         except Exception:  # noqa: BLE001 - an unkeyable job simply runs solo
             return None
 
@@ -657,12 +704,13 @@ class JobService:
                     with self._stats_lock:
                         self._stats["deadline_kills"] += 1
                         self._stats["failed"] += 1
-                    ticket._future.set_exception(
-                        DeadlineExceededError(
+                    _resolve(
+                        ticket,
+                        error=DeadlineExceededError(
                             f"job {ticket.name!r} exceeded its {deadline}s "
                             "deadline during a merged group run; the attempt "
                             "was abandoned and its lane freed"
-                        )
+                        ),
                     )
                     self._settle(ticket)
                 else:
@@ -697,7 +745,7 @@ class JobService:
                 "executor_fallback": degraded,
                 "merged": True,
             }
-            ticket._future.set_result(result)
+            _resolve(ticket, result)
             self._settle(ticket)
 
     def _merged_with_deadline(
@@ -749,7 +797,7 @@ class JobService:
                 with self._stats_lock:
                     self._stats["deadline_kills"] += 1
                     self._stats["failed"] += 1
-                ticket._future.set_exception(exc)
+                _resolve(ticket, error=exc)
                 return
             except BaseException as exc:  # noqa: BLE001 - routed to the ticket
                 if is_pool_breakage(exc):
@@ -757,7 +805,7 @@ class JobService:
                 if not (attempt + 1 < max_attempts and is_transient_error(exc)):
                     with self._stats_lock:
                         self._stats["failed"] += 1
-                    ticket._future.set_exception(exc)
+                    _resolve(ticket, error=exc)
                     return
                 with self._stats_lock:
                     self._stats["retries"] += 1
@@ -783,7 +831,7 @@ class JobService:
             }
             with self._stats_lock:
                 self._stats["completed"] += 1
-            ticket._future.set_result(result)
+            _resolve(ticket, result)
             return
 
     def _execute_attempt(self, ticket: JobTicket) -> Tuple[ExecutionResult, bool]:
@@ -863,6 +911,7 @@ class JobService:
             ticket._cancel_noted = True
         with self._stats_lock:
             self._stats["cancelled"] += 1
+        _release(ticket)
         self._settle(ticket)
 
     def _settle(self, ticket: JobTicket) -> None:
@@ -934,7 +983,8 @@ class JobService:
         ``retries`` (transient re-executions),
         ``crashes_recovered`` (in-run pool rebuilds that still produced the
         job's result), ``deadline_kills``, ``cancelled``, ``rejected``
-        (queue-full admissions), ``pool_breakages`` (degradation-ladder
+        (admissions refused: queue full or invalid bundle),
+        ``pool_breakages`` (degradation-ladder
         count) and ``executor_fallback`` (``1`` once the service forces the
         thread executor).  :meth:`service_stats` returns the same snapshot
         as a typed :class:`ServiceStats`.

@@ -79,16 +79,31 @@ class SimulatedAnnealingSampler:
         )
 
         states_f = states.astype(float)
+        local_field = np.empty(num_reads)
+        delta_e = np.empty(num_reads)
         for beta in betas:
-            # Visit variables in a fresh random order each sweep.
-            for var in rng.permutation(n):
-                local_field = states_f @ W[:, var] + h[var]
+            # Visit variables in a fresh random order each sweep.  One block
+            # of uniforms per sweep consumes the stream exactly as one draw
+            # per visit would: row k belongs to the k-th visited variable.
+            order = rng.permutation(n)
+            uniforms = rng.random((n, num_reads))
+            cap = 700.0 / beta
+            for var, u in zip(order, uniforms):
+                # W is symmetric: row ``var`` is column ``var``, contiguous.
+                np.matmul(states_f, W[var], out=local_field)
+                local_field += h[var]
                 # Flipping s_i changes the energy by -2 * s_i * (h_i + sum_j W_ij s_j).
-                delta_e = -2.0 * states_f[:, var] * local_field
-                accept = (delta_e <= 0.0) | (
-                    rng.random(num_reads) < np.exp(-beta * np.clip(delta_e, 0.0, 700.0 / beta))
-                )
-                states_f[accept, var] *= -1.0
+                np.multiply(states_f[:, var], -2.0, out=delta_e)
+                delta_e *= local_field
+                # Metropolis: accept with probability min(1, exp(-beta * dE)),
+                # computed in place (the buffer ends up holding it).  A
+                # downhill move clamps to exp(-0) = 1 > u, so it always
+                # passes; the cap keeps exp() finite.
+                np.maximum(delta_e, 0.0, out=delta_e)
+                np.minimum(delta_e, cap, out=delta_e)
+                delta_e *= -beta
+                np.exp(delta_e, out=delta_e)
+                states_f[u < delta_e, var] *= -1.0
 
         samples = states_f.astype(np.int8)
         energies = spin_model.energies(samples)

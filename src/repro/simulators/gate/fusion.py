@@ -97,10 +97,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ...core.errors import UnsupportedGateError
+from ...core.lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .circuit import Circuit, Instruction
 from .gates import cached_gate_matrix, cached_gate_plan
 from .kernels import MatrixPlan, build_plan, operator_stack
-from .lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .noise import NoiseModel
 
 __all__ = [

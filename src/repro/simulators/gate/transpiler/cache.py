@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ....core.errors import TranspilerError
+from ....core.lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from ..circuit import Circuit, Instruction
-from ..lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .layout import Layout
 from .passes import (
     TranspileResult,

@@ -21,9 +21,18 @@ import lint_invariants  # noqa: E402  (needs the tools/ path above)
 MAX_PRAGMAS = 5
 
 
-def write_module(tmp_path: Path, body: str, *, gate_scope: bool = False) -> Path:
-    """Write a throwaway module, optionally under a simulators/gate subtree."""
-    directory = tmp_path / "simulators" / "gate" if gate_scope else tmp_path
+def write_module(
+    tmp_path: Path, body: str, *, gate_scope: bool = False, package: str = ""
+) -> Path:
+    """Write a throwaway module, optionally inside a ``src/repro`` package.
+
+    ``gate_scope=True`` places it in ``src/repro/simulators/gate``; a
+    *package* such as ``"core"`` places it in ``src/repro/<package>``.
+    Modules outside ``src/repro`` are not library code for the cache rules.
+    """
+    if gate_scope:
+        package = "simulators/gate"
+    directory = tmp_path / "src" / "repro" / package if package else tmp_path
     directory.mkdir(parents=True, exist_ok=True)
     module = directory / "sample.py"
     module.write_text(textwrap.dedent(body), encoding="utf-8")
@@ -102,6 +111,24 @@ def test_module_dict_cache_is_cache002(tmp_path):
         gate_scope=True,
     )
     assert rule_ids(lint_invariants.lint_file(module)[0]) == ["CACHE002"]
+
+
+def test_cache_rules_cover_library_code_outside_the_gate_simulator(tmp_path):
+    module = write_module(
+        tmp_path,
+        """
+        import functools
+
+        _VALIDATION_CACHE = {}
+
+        @functools.cache
+        def schema_for(key):
+            return key
+        """,
+        package="core",
+    )
+    violations = lint_invariants.lint_file(module)[0]
+    assert sorted(rule_ids(violations)) == ["CACHE001", "CACHE002"]
 
 
 def test_hardcoded_complex128_is_dtype001(tmp_path):

@@ -206,3 +206,47 @@ def test_failure_routes_to_ticket_not_service(monkeypatch):
         stats = service.stats()
     assert stats["failed"] == 1
     assert stats["completed"] == 0
+
+
+# -- admission validation -------------------------------------------------------------
+
+
+def _invalid_bundle(kind, name):
+    """A bundle ``package(validate=False)`` accepts but ``submit()`` rejects."""
+    from repro.core import TargetSpec
+
+    reg = phase_register("p", 3)
+    if kind == "schema":
+        target = TargetSpec(num_qubits=0)  # below the schema's minimum
+    else:
+        target = TargetSpec(coupling_map=[(0, 1)])  # 2 qubits for a 3-qubit register
+    context = ContextDescriptor(
+        exec=ExecPolicy(engine="gate.aer_simulator", samples=64, seed=1, target=target)
+    )
+    return package(
+        reg, [qft_operator(reg), measurement(reg)], context, name=name, validate=False
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,error",
+    [("schema", "SchemaValidationError"), ("compatibility", "CompatibilityError")],
+)
+def test_admission_rejects_what_submit_rejects(kind, error):
+    import repro.core as core
+    from repro.backends import submit
+
+    error_class = getattr(core, error)
+    with pytest.raises(error_class) as direct:
+        submit(_invalid_bundle(kind, "direct"))
+    with JobService(lanes=1) as service:
+        with pytest.raises(error_class) as served:
+            service.submit(_invalid_bundle(kind, "single"))
+        assert str(served.value) == str(direct.value)
+        with pytest.raises(error_class):
+            service.submit_many([qft_bundle("fine"), _invalid_bundle(kind, "batched")])
+        stats = service.stats()
+        # Nothing was queued: a valid bundle still runs afterwards.
+        assert service.submit(qft_bundle("after")).result(timeout=60) is not None
+    assert stats["rejected"] == 2
+    assert stats["submitted"] == 0

@@ -362,3 +362,51 @@ def test_serving_job_with_killed_worker_matches_fault_free():
         assert stats["failed"] == 0
     finally:
         shutdown_worker_pool()
+
+
+# -- released artifacts -------------------------------------------------------------
+
+
+def test_finished_tickets_release_bundle_and_lowering(monkeypatch):
+    real_submit = serving_module.runtime_submit
+    calls = []
+
+    def flaky_submit(bundle, **kwargs):
+        calls.append(bundle.name)
+        if bundle.name == "retried" and calls.count("retried") < 2:
+            raise TransientExecutionError("worker flaked")
+        return real_submit(bundle, **kwargs)
+
+    monkeypatch.setattr(serving_module, "runtime_submit", flaky_submit)
+    policy = RetryPolicy(max_attempts=3, backoff_s=0.001, jitter=0.0)
+    with JobService(lanes=1, retry_policy=policy) as service:
+        # Distinct widths: neither single shares a group with the burst.
+        tickets = [
+            service.submit(qft_bundle(name, width=width))
+            for name, width in (("plain", 3), ("retried", 5))
+        ]
+        merged = service.submit_many([qft_bundle(f"m{i}", seed=i + 1) for i in range(3)])
+        results = [ticket.result(timeout=60) for ticket in tickets + merged]
+        for ticket in tickets + merged:
+            assert ticket._bundle is None
+            assert ticket._lowered is None
+        stats = service.stats()
+    assert calls.count("retried") == 2
+    assert results[1].metadata["serving"]["attempts"] == 2
+    assert all(result.metadata["serving"]["merged"] for result in results[2:])
+    assert all(result.counts.shots == 256 for result in results)
+    assert results[1].decoded().single().shots == 256
+    assert stats["completed"] == 5
+
+
+def test_failed_and_cancelled_tickets_release_artifacts(gated_submit):
+    started, release = gated_submit
+    with JobService(lanes=1, coalesce=False) as service:
+        running = service.submit(qft_bundle("running", options={"deadline_s": 0.05}))
+        assert started.wait(timeout=60)
+        queued = service.submit(qft_bundle("queued"))
+        assert queued.cancel() is True
+        assert queued._bundle is None and queued._lowered is None
+        assert isinstance(running.exception(timeout=60), DeadlineExceededError)
+        assert running._bundle is None and running._lowered is None
+        release.set()
